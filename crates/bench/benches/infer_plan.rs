@@ -3,10 +3,9 @@
 //! versus the plan engine, at grids 32/64 with batches 1/8 plus a
 //! batch-1 run at grid 256 (the placement-scale stress case; batch 8
 //! there would push a single sample past ten seconds for no extra
-//! signal). The batch-1 grid-64/grid-256 points additionally run a
-//! `plan-par` variant — the plan engine with the level scheduler at
-//! four workers — against the serial `plan` baseline (workers = 1,
-//! scheduler effectively off). Writes `results/infer_plan.json`.
+//! signal). Grids 64 and 256 additionally run the quantized `plan-int8`
+//! variant against the f32 `plan` baseline. Writes
+//! `results/infer_plan.json`.
 //!
 //! Every (grid, batch, engine) combination runs in its **own child
 //! process**: peak RSS is sampled from the kernel's `VmHWM` watermark,
@@ -18,7 +17,6 @@
 
 use mfaplace_autograd::Graph;
 use mfaplace_core::predictor::{Engine, ModelPredictor};
-use mfaplace_core::{Precision, QuantOptions};
 use mfaplace_models::{Arch, ArchSpec};
 use mfaplace_rt::bench::Suite;
 use mfaplace_rt::rng::{SeedableRng, StdRng};
@@ -26,23 +24,14 @@ use mfaplace_tensor::Tensor;
 
 const CHILD_ENV: &str = "MFA_PLAN_CHILD";
 const CONFIGS: [(usize, usize); 5] = [(32, 1), (32, 8), (64, 1), (64, 8), (256, 1)];
-const ENGINES: [&str; 2] = ["tape", "plan"];
-/// Level-scheduler worker count for the `plan-par` variant.
-const PAR_WORKERS: usize = 4;
-
-/// Engine variants for one (grid, batch) point: tape and serial plan
-/// everywhere; the parallel scheduler only where it can pay off (batch-1
-/// latency at placement-relevant grids — batched forwards already
-/// parallelize across the batch dimension inside the kernels). The
-/// quantized variants (int8 arena with int8 GEMMs, f16 arena) run at
-/// the grids where arena size matters (64 and the placement-scale 256).
-fn variants(grid: usize, batch: usize) -> &'static [&'static str] {
-    if batch == 1 && grid >= 64 {
-        &["tape", "plan", "plan-par", "plan-int8", "plan-f16"]
-    } else if grid >= 64 {
-        &["tape", "plan", "plan-int8", "plan-f16"]
+/// Engine variants for one grid: tape and plan everywhere; the
+/// quantized variant (int8 arena with int8 GEMMs) at the grids where
+/// arena size matters (64 and the placement-scale 256).
+fn variants(grid: usize) -> &'static [&'static str] {
+    if grid >= 64 {
+        &["tape", "plan", "plan-int8"]
     } else {
-        &ENGINES
+        &["tape", "plan"]
     }
 }
 
@@ -62,8 +51,7 @@ fn run_child(child: &str) {
     let batch: usize = parts.next().and_then(|s| s.parse().ok()).expect("batch");
     let variant = parts.next().expect("engine");
     let engine = match variant {
-        "plan-par" => Engine::Plan,
-        "plan-int8" | "plan-f16" => Engine::Quant,
+        "plan-int8" => Engine::Quant,
         other => Engine::parse(other).expect("engine"),
     };
 
@@ -72,26 +60,14 @@ fn run_child(child: &str) {
     let model = spec(grid).build(&mut g, &mut rng).expect("build model");
     let mut predictor = ModelPredictor::new(g, model);
     predictor.set_engine(engine);
-    predictor.set_plan_workers(if variant == "plan-par" {
-        PAR_WORKERS
-    } else {
-        1
-    });
     if engine == Engine::Quant {
         // Offline calibration happens outside the sampled region, like
         // the plan compilation warm-up below.
-        let precision = if variant == "plan-f16" {
-            Precision::F16
-        } else {
-            Precision::Int8
-        };
         let mut c_rng = StdRng::seed_from_u64(2);
         let calib: Vec<Tensor> = (0..3)
             .map(|_| Tensor::randn(vec![6, grid, grid], 1.0, &mut c_rng))
             .collect();
-        predictor
-            .calibrate(&calib, QuantOptions { precision })
-            .expect("calibrate");
+        predictor.calibrate(&calib).expect("calibrate");
     }
 
     let mut in_rng = StdRng::seed_from_u64(1);
@@ -163,7 +139,7 @@ fn main() {
     let exe = std::env::current_exe().expect("current exe");
     let mut fragments = Vec::new();
     for (grid, batch) in CONFIGS {
-        for engine in variants(grid, batch) {
+        for engine in variants(grid) {
             let out = std::process::Command::new(&exe)
                 .env(CHILD_ENV, format!("{grid}:{batch}:{engine}"))
                 .stderr(std::process::Stdio::inherit())
@@ -211,31 +187,17 @@ fn main() {
                 p,
                 t / p
             );
-            let par = median_of(
-                &merged,
-                &format!("infer/plan-par/grid{grid}/batch{batch}/forward"),
-            );
-            if let Some(pp) = par {
+            let name = format!("infer/plan-int8/grid{grid}/batch{batch}/forward");
+            if let Some(qn) = median_of(&merged, &name) {
+                let rss_q = peak_rss_of(&merged, &name)
+                    .map(|r| format!("peak rss {:.1} MiB", r as f64 / (1024.0 * 1024.0)))
+                    .unwrap_or_else(|| "peak rss n/a".to_owned());
                 println!(
-                    "grid {grid} batch {batch}  plan {:>12.1} ns  plan-par({PAR_WORKERS}w) {:>12.1} ns  scheduler speedup {:.2}x",
+                    "grid {grid} batch {batch}  plan {:>12.1} ns  plan-int8 {:>12.1} ns  speedup {:.2}x  {rss_q}",
                     p,
-                    pp,
-                    p / pp
+                    qn,
+                    p / qn
                 );
-            }
-            for q in ["plan-int8", "plan-f16"] {
-                let name = format!("infer/{q}/grid{grid}/batch{batch}/forward");
-                if let Some(qn) = median_of(&merged, &name) {
-                    let rss_q = peak_rss_of(&merged, &name)
-                        .map(|r| format!("peak rss {:.1} MiB", r as f64 / (1024.0 * 1024.0)))
-                        .unwrap_or_else(|| "peak rss n/a".to_owned());
-                    println!(
-                        "grid {grid} batch {batch}  plan {:>12.1} ns  {q} {:>12.1} ns  speedup {:.2}x  {rss_q}",
-                        p,
-                        qn,
-                        p / qn
-                    );
-                }
             }
         }
     }

@@ -6,15 +6,20 @@
 //!
 //! - the full checkpoint bytes (self-describing v2/v3 `.mfaw`),
 //! - the offline [`Calibration`] (per-step activation ranges),
-//! - the chosen [`Precision`] and whether BN folding was applied,
+//! - whether BN folding was applied,
 //! - an FNV-1a checksum over the whole payload.
+//!
+//! Version 2 artifacts index their calibration by tape-order steps.
+//! Version 1 artifacts indexed a different step order that op-kind
+//! alignment cannot detect, so they are refused with an error telling
+//! the operator to recompile.
 //!
 //! [`crate::loader::load_predictor_with_cache`] detects the magic and
 //! rebuilds the predictor with the calibration attached and the quant
 //! engine selected (unless `MFAPLACE_ENGINE` overrides), so `serve` and
 //! `predict` round-trip the artifact with zero extra flags.
 
-use mfaplace_infer::{Calibration, PlanStats, Precision, QuantOptions, QuantStats};
+use mfaplace_infer::{Calibration, PlanStats, QuantStats};
 use mfaplace_models::ArchSpec;
 use mfaplace_tensor::Tensor;
 
@@ -23,16 +28,13 @@ use crate::loader::{load_predictor, LoadOptions};
 /// Magic prefix of a quantized serving artifact.
 pub const ARTIFACT_MAGIC: &[u8; 8] = b"MFAQART1";
 
-const ARTIFACT_VERSION: u32 = 1;
-/// Fixed-size header: magic + version + precision + fold + calib len +
-/// checkpoint len.
-const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 4 + 8;
+const ARTIFACT_VERSION: u32 = 2;
+/// Fixed-size header: magic + version + fold + calib len + checkpoint len.
+const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 8;
 
 /// A parsed serving artifact.
 #[derive(Clone, Debug)]
 pub struct Artifact {
-    /// Arena precision the calibration was validated for.
-    pub precision: Precision,
     /// Whether plans must be compiled with BN folding (the calibration
     /// was collected on folded plans).
     pub fold_bn: bool,
@@ -77,17 +79,11 @@ pub fn is_artifact(path: &str) -> bool {
 }
 
 /// Serializes an artifact (deterministic for identical inputs).
-pub fn artifact_to_bytes(
-    calibration: &Calibration,
-    precision: Precision,
-    fold_bn: bool,
-    checkpoint: &[u8],
-) -> Vec<u8> {
+pub fn artifact_to_bytes(calibration: &Calibration, fold_bn: bool, checkpoint: &[u8]) -> Vec<u8> {
     let calib = calibration.to_bytes();
     let mut out = Vec::with_capacity(HEADER_LEN + calib.len() + checkpoint.len() + 8);
     out.extend_from_slice(ARTIFACT_MAGIC);
     out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-    out.extend_from_slice(&u32::from(precision.code()).to_le_bytes());
     out.extend_from_slice(&u32::from(fold_bn).to_le_bytes());
     out.extend_from_slice(&(calib.len() as u32).to_le_bytes());
     out.extend_from_slice(&(checkpoint.len() as u64).to_le_bytes());
@@ -110,15 +106,14 @@ pub fn artifact_from_bytes(b: &[u8]) -> Result<Artifact, String> {
     }
     let version = u32::from_le_bytes(b[8..12].try_into().unwrap());
     if version != ARTIFACT_VERSION {
-        return Err(format!("unsupported artifact version {version}"));
+        return Err(format!(
+            "artifact format version {version}, this build reads version \
+             {ARTIFACT_VERSION}: recompile with `mfaplace compile`"
+        ));
     }
-    let precision = u8::try_from(u32::from_le_bytes(b[12..16].try_into().unwrap()))
-        .ok()
-        .and_then(Precision::from_code)
-        .ok_or("unknown artifact precision code")?;
-    let fold_bn = u32::from_le_bytes(b[16..20].try_into().unwrap()) != 0;
-    let calib_len = u32::from_le_bytes(b[20..24].try_into().unwrap()) as usize;
-    let ckpt_len = u64::from_le_bytes(b[24..32].try_into().unwrap()) as usize;
+    let fold_bn = u32::from_le_bytes(b[12..16].try_into().unwrap()) != 0;
+    let calib_len = u32::from_le_bytes(b[16..20].try_into().unwrap()) as usize;
+    let ckpt_len = u64::from_le_bytes(b[20..28].try_into().unwrap()) as usize;
     if body.len() != HEADER_LEN + calib_len + ckpt_len {
         return Err(format!(
             "artifact section lengths disagree with file size ({} bytes)",
@@ -127,7 +122,6 @@ pub fn artifact_from_bytes(b: &[u8]) -> Result<Artifact, String> {
     }
     let calibration = Calibration::from_bytes(&body[HEADER_LEN..HEADER_LEN + calib_len])?;
     Ok(Artifact {
-        precision,
         fold_bn,
         calibration,
         checkpoint: body[HEADER_LEN + calib_len..].to_vec(),
@@ -139,7 +133,8 @@ pub fn artifact_from_bytes(b: &[u8]) -> Result<Artifact, String> {
 /// # Errors
 ///
 /// Returns a human-readable error naming the file on I/O failure, bad
-/// magic, corruption, or an unsupported version.
+/// magic, corruption, or another format version (which says to recompile
+/// with `mfaplace compile`).
 pub fn read_artifact(path: &str) -> Result<Artifact, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     artifact_from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))
@@ -158,18 +153,17 @@ pub fn compile_for_serving(
     checkpoint_path: &str,
     load: LoadOptions,
     calib_inputs: &[Tensor],
-    precision: Precision,
     fold_bn: bool,
     out_path: &str,
 ) -> Result<CompileReport, String> {
     let (spec, mut predictor) = load_predictor(checkpoint_path, load)?;
     predictor.set_fold_bn(fold_bn);
-    let calibration = predictor.calibrate(calib_inputs, QuantOptions { precision })?;
+    let calibration = predictor.calibrate(calib_inputs)?;
     // Prove the calibration quantizes this model before shipping it.
     let (stats, qstats) = predictor.compile_quant_plan(1, 6, spec.grid, spec.grid)?;
     let checkpoint =
         std::fs::read(checkpoint_path).map_err(|e| format!("{checkpoint_path}: {e}"))?;
-    let bytes = artifact_to_bytes(&calibration, precision, fold_bn, &checkpoint);
+    let bytes = artifact_to_bytes(&calibration, fold_bn, &checkpoint);
     std::fs::write(out_path, &bytes).map_err(|e| format!("{out_path}: {e}"))?;
     Ok(CompileReport {
         spec,
@@ -188,22 +182,18 @@ mod tests {
     fn artifact_round_trips_bitwise() {
         let calibration = test_calibration();
         let ckpt = vec![1u8, 2, 3, 4, 5];
-        let bytes = artifact_to_bytes(&calibration, Precision::Int8, true, &ckpt);
+        let bytes = artifact_to_bytes(&calibration, true, &ckpt);
         let art = artifact_from_bytes(&bytes).unwrap();
-        assert_eq!(art.precision, Precision::Int8);
         assert!(art.fold_bn);
         assert_eq!(art.checkpoint, ckpt);
         assert_eq!(art.calibration.to_bytes(), calibration.to_bytes());
         // Determinism: identical inputs, identical bytes.
-        assert_eq!(
-            bytes,
-            artifact_to_bytes(&calibration, Precision::Int8, true, &ckpt)
-        );
+        assert_eq!(bytes, artifact_to_bytes(&calibration, true, &ckpt));
     }
 
     #[test]
     fn corrupt_artifact_is_rejected() {
-        let bytes = artifact_to_bytes(&test_calibration(), Precision::F16, false, &[9u8; 32]);
+        let bytes = artifact_to_bytes(&test_calibration(), false, &[9u8; 32]);
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
@@ -214,12 +204,34 @@ mod tests {
         assert!(artifact_from_bytes(b"not an artifact at all!!").is_err());
     }
 
+    #[test]
+    fn version_1_artifact_is_refused_with_a_recompile_error() {
+        // The version-1 layout: magic, version 1, precision code (int8),
+        // fold, calib len, checkpoint len, calibration, checkpoint,
+        // checksum — its checksum is valid, so only the version refuses it.
+        let calib = test_calibration().to_bytes();
+        let ckpt = [7u8; 16];
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(ARTIFACT_MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&0u32.to_le_bytes());
+        v1.extend_from_slice(&(calib.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&(ckpt.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&calib);
+        v1.extend_from_slice(&ckpt);
+        let sum = fnv1a(&v1);
+        v1.extend_from_slice(&sum.to_le_bytes());
+        let err = artifact_from_bytes(&v1).unwrap_err();
+        assert!(err.contains("recompile with `mfaplace compile`"), "{err}");
+    }
+
     fn test_calibration() -> Calibration {
         // Build via the serializer's inverse to avoid constructing the
         // (crate-private) fields directly: 8-byte magic, count, input
         // range, 2 ranges, 2 kind tags.
         let mut b = Vec::new();
-        b.extend_from_slice(b"MFACAL01");
+        b.extend_from_slice(b"MFACAL02");
         b.extend_from_slice(&2u32.to_le_bytes());
         b.extend_from_slice(&1.5f32.to_le_bytes());
         b.extend_from_slice(&0.5f32.to_le_bytes());

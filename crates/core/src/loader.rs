@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use mfaplace_autograd::Graph;
-use mfaplace_infer::{PlanCache, PlanSource, QuantOptions};
+use mfaplace_infer::{PlanCache, PlanSource};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_nn::checkpoint::{self, Checkpoint, CheckpointMeta};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
@@ -92,12 +92,7 @@ pub fn load_predictor_with_cache(
         let (spec, mut predictor) =
             predictor_from_checkpoint(ckpt, path, opts, plan_cache, source)?;
         predictor.set_fold_bn(art.fold_bn);
-        predictor.set_calibration(
-            Arc::new(art.calibration),
-            QuantOptions {
-                precision: art.precision,
-            },
-        );
+        predictor.set_calibration(Arc::new(art.calibration));
         // The artifact's reason to exist is quantized serving: default to
         // the quant engine, but let an explicit MFAPLACE_ENGINE win.
         let env = std::env::var("MFAPLACE_ENGINE")

@@ -28,8 +28,8 @@ use mfaplace_fpga::features::FeatureStack;
 use mfaplace_fpga::gridmap::GridMap;
 use mfaplace_fpga::placement::Placement;
 use mfaplace_infer::{
-    run_plan_workers, run_quant_plan, Calibration, Plan, PlanCache, PlanKey, PlanOptions,
-    PlanPrecision, PlanSource, PlanStats, QuantOptions, QuantPlan, QuantStats,
+    run_plan, run_quant_plan, Calibration, Plan, PlanCache, PlanKey, PlanOptions, PlanPrecision,
+    PlanSource, PlanStats, QuantPlan, QuantStats,
 };
 use mfaplace_models::{expected_levels, CongestionModel};
 use mfaplace_placer::CongestionPredictor;
@@ -46,10 +46,10 @@ pub enum Engine {
     /// (fused kernels, zero allocations per forward). Bitwise identical
     /// outputs to [`Engine::Tape`].
     Plan,
-    /// Execute a quantized [`mfaplace_infer::QuantPlan`] — int8/f16
-    /// activation arena, int8 GEMM compute — built from the f32 plan plus
-    /// an offline [`Calibration`]. Requires calibration to be attached
-    /// (via [`ModelPredictor::set_calibration`] or
+    /// Execute a quantized [`mfaplace_infer::QuantPlan`] — int8
+    /// activation arena with f16 islands, int8 GEMM compute — built from
+    /// the f32 plan plus an offline [`Calibration`]. Requires calibration
+    /// to be attached (via [`ModelPredictor::set_calibration`] or
     /// [`ModelPredictor::calibrate`]); without it, or if the quantized
     /// build fails, forwards silently fall back to the f32 plan (then the
     /// tape), so selecting this engine never breaks a predictor.
@@ -113,9 +113,9 @@ pub struct ModelPredictor<M: CongestionModel> {
     /// (keyed separately in the cache; outputs agree with the tape to
     /// 1e-6 of output scale instead of bitwise).
     fold_bn: bool,
-    /// Offline calibration + quantization options. `None` means
-    /// uncalibrated: [`Engine::Quant`] then falls back to the f32 plan.
-    quant: Option<(Arc<Calibration>, QuantOptions)>,
+    /// Offline calibration. `None` means uncalibrated: [`Engine::Quant`]
+    /// then falls back to the f32 plan.
+    quant: Option<Arc<Calibration>>,
     /// Byte arena (u64-backed for alignment) reused across quant plans.
     qarena: Vec<u64>,
     /// Set on the first failed quantized build; quant forwards then stay
@@ -126,10 +126,6 @@ pub struct ModelPredictor<M: CongestionModel> {
     /// Plan counters of that same quantized plan (arena/weight bytes
     /// reflect quantized storage).
     peak_quant_plan: Option<PlanStats>,
-    /// Level-scheduler worker count for plan forwards (`1` = serial
-    /// replay; outputs are bitwise identical either way). Defaults to
-    /// `MFAPLACE_PLAN_WORKERS`, falling back to the pool thread budget.
-    plan_workers: usize,
 }
 
 impl<M: CongestionModel> ModelPredictor<M> {
@@ -181,20 +177,7 @@ impl<M: CongestionModel> ModelPredictor<M> {
             quant_broken: None,
             peak_quant: None,
             peak_quant_plan: None,
-            plan_workers: mfaplace_infer::plan_workers_from_env(),
         }
-    }
-
-    /// Sets the level-scheduler worker count for plan forwards (`1` =
-    /// serial replay). Purely a latency knob: outputs are bitwise
-    /// identical at any count.
-    pub fn set_plan_workers(&mut self, workers: usize) {
-        self.plan_workers = workers.max(1);
-    }
-
-    /// The configured level-scheduler worker count.
-    pub fn plan_workers(&self) -> usize {
-        self.plan_workers
     }
 
     /// Borrows the wrapped model.
@@ -240,30 +223,23 @@ impl<M: CongestionModel> ModelPredictor<M> {
     /// Attaches an offline calibration (e.g. from a serving artifact) so
     /// [`Engine::Quant`] forwards can build quantized plans without
     /// re-calibrating. Clears any previous quant failure.
-    pub fn set_calibration(&mut self, calibration: Arc<Calibration>, options: QuantOptions) {
-        self.quant = Some((calibration, options));
+    pub fn set_calibration(&mut self, calibration: Arc<Calibration>) {
+        self.quant = Some(calibration);
         self.quant_broken = None;
     }
 
     /// The attached calibration, if any.
     pub fn calibration(&self) -> Option<&Arc<Calibration>> {
-        self.quant.as_ref().map(|(c, _)| c)
+        self.quant.as_ref()
     }
 
-    /// The attached quantization options, if calibrated.
-    pub fn quant_options(&self) -> Option<QuantOptions> {
-        self.quant.as_ref().map(|(_, o)| *o)
-    }
-
-    /// The numeric precision forwards currently run at: the calibration
-    /// precision when the quant engine is active and usable, `f32`
-    /// otherwise.
+    /// The numeric precision forwards currently run at: int8 when the
+    /// quant engine is active and usable, `f32` otherwise.
     pub fn precision(&self) -> PlanPrecision {
-        match (self.engine, &self.quant) {
-            (Engine::Quant, Some((_, opts))) if self.quant_broken.is_none() => {
-                opts.precision.into()
-            }
-            _ => PlanPrecision::F32,
+        if self.engine == Engine::Quant && self.quant.is_some() && self.quant_broken.is_none() {
+            PlanPrecision::Int8
+        } else {
+            PlanPrecision::F32
         }
     }
 
@@ -273,11 +249,7 @@ impl<M: CongestionModel> ModelPredictor<M> {
     /// feature stack), records per-step activation abs-max ranges, and
     /// attaches the result. Deterministic: the same inputs in the same
     /// order produce a bitwise-identical calibration.
-    pub fn calibrate(
-        &mut self,
-        inputs: &[Tensor],
-        options: QuantOptions,
-    ) -> Result<Arc<Calibration>, String> {
+    pub fn calibrate(&mut self, inputs: &[Tensor]) -> Result<Arc<Calibration>, String> {
         let first = inputs
             .first()
             .ok_or_else(|| "calibrate: no representative inputs".to_string())?;
@@ -291,7 +263,7 @@ impl<M: CongestionModel> ModelPredictor<M> {
         let plan = self.resolve_plan(&plan_shape)?;
         let calib = Calibration::collect(&plan, inputs.iter().map(|t| t.data()))?;
         let calib = Arc::new(calib);
-        self.set_calibration(calib.clone(), options);
+        self.set_calibration(calib.clone());
         Ok(calib)
     }
 
@@ -320,7 +292,7 @@ impl<M: CongestionModel> ModelPredictor<M> {
     }
 
     /// Plan stats as the active engine experiences them: the quantized
-    /// plan's counters (int8/f16 arena and weight bytes) when the quant
+    /// plan's counters (quantized arena and weight bytes) when the quant
     /// engine is serving a quantized plan, the f32 plan's otherwise —
     /// what the serve layer publishes as `mfaplace_infer_plan_*` gauges.
     pub fn active_plan_stats(&self) -> Option<PlanStats> {
@@ -430,21 +402,16 @@ impl<M: CongestionModel> ModelPredictor<M> {
     /// calibration does not match the captured plan (stale — e.g. a
     /// different checkpoint or grid; the error says to recalibrate).
     fn resolve_quant_plan(&mut self, shape: &[usize]) -> Result<Arc<QuantPlan>, String> {
-        let (calib, opts) = self
+        let calib = self
             .quant
             .clone()
             .ok_or_else(|| "quant engine: no calibration attached".to_string())?;
-        let key = PlanKey::quant(
-            self.plan_source,
-            shape.to_vec(),
-            opts.precision,
-            self.fold_bn,
-        );
+        let key = PlanKey::quant(self.plan_source, shape.to_vec(), self.fold_bn);
         let qplan = match self.plan_cache.get_quant(&key) {
             Some(qplan) => qplan,
             None => {
                 let plan = self.resolve_plan(shape)?;
-                let qplan = Arc::new(QuantPlan::build(plan, &calib, opts)?);
+                let qplan = Arc::new(QuantPlan::build(plan, &calib)?);
                 self.plan_cache.insert_quant(key, qplan.clone());
                 qplan
             }
@@ -482,12 +449,12 @@ impl<M: CongestionModel> ModelPredictor<M> {
         };
         let _t = ScopeTimer::new("core/forward_plan");
         let out = if bucket == n {
-            run_plan_workers(&plan, &mut self.arena, batch.data(), self.plan_workers).to_vec()
+            run_plan(&plan, &mut self.arena, batch.data()).to_vec()
         } else {
             let per_in = batch.data().len() / n;
             let mut padded = vec![0.0f32; bucket * per_in];
             padded[..n * per_in].copy_from_slice(batch.data());
-            let full = run_plan_workers(&plan, &mut self.arena, &padded, self.plan_workers);
+            let full = run_plan(&plan, &mut self.arena, &padded);
             let per_out = full.len() / bucket;
             full[..n * per_out].to_vec()
         };
@@ -784,9 +751,7 @@ mod tests {
             .collect();
 
         let mut predictor = small_predictor(9);
-        let calib = predictor
-            .calibrate(&inputs, QuantOptions::default())
-            .expect("calibration");
+        let calib = predictor.calibrate(&inputs).expect("calibration");
         assert!(calib.steps() > 0);
         predictor.set_engine(Engine::Quant);
         assert_eq!(predictor.precision().name(), "int8");

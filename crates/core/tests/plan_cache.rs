@@ -8,7 +8,7 @@ use mfaplace_core::loader::{
     content_hash, init_checkpoint, load_predictor_with_cache, LoadOptions,
 };
 use mfaplace_core::predictor::{Engine, ModelPredictor};
-use mfaplace_core::{PlanCache, PlanKey, Precision, QuantOptions};
+use mfaplace_core::{PlanCache, PlanKey};
 use mfaplace_models::{Arch, ArchSpec, CongestionModel};
 use mfaplace_tensor::Tensor;
 
@@ -137,7 +137,7 @@ fn mixed_precision_plans_share_one_cache_under_distinct_keys() {
 
     // Calibrate over a few representative inputs, then serve quantized.
     let reps: Vec<Tensor> = (0..3).map(|i| input(i as f32)).collect();
-    p.calibrate(&reps, QuantOptions::default()).unwrap();
+    p.calibrate(&reps).unwrap();
     p.set_engine(Engine::Quant);
 
     let x = input(0.5);
@@ -149,7 +149,7 @@ fn mixed_precision_plans_share_one_cache_under_distinct_keys() {
     // Same content hash, two flavours, two entries.
     let source = p.plan_source();
     let fkey = PlanKey::f32(source, vec![1, 6, GRID, GRID], false);
-    let qkey = PlanKey::quant(source, vec![1, 6, GRID, GRID], Precision::Int8, false);
+    let qkey = PlanKey::quant(source, vec![1, 6, GRID, GRID], false);
     assert!(cache.contains(&fkey), "{:?}", cache.stats());
     assert!(cache.contains(&qkey), "{:?}", cache.stats());
 
@@ -175,7 +175,7 @@ fn mixed_precision_plans_share_one_cache_under_distinct_keys() {
     // calibration resolves the existing quantized entry — no recompile.
     let misses_before = cache.stats().misses;
     let (_, mut q) = load_predictor_with_cache(&ckpt, LoadOptions::default(), &cache).unwrap();
-    q.set_calibration(p.calibration().unwrap().clone(), QuantOptions::default());
+    q.set_calibration(p.calibration().unwrap().clone());
     q.set_engine(Engine::Quant);
     let out_q = predict_one(&mut q, &x);
     assert_eq!(out_q.data(), out.data(), "shared quant plan, shared answer");

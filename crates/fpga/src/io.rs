@@ -183,9 +183,16 @@ pub fn read_design(text: &str) -> Result<Design, ParseDesignError> {
                 if rest.len() != 4 {
                     return Err(err(ln, "arch needs `columns rows clb_luts clb_ffs`"));
                 }
-                arch = Some((
+                let (columns, rows): (usize, usize) = (
                     parse_num(rest[0], ln, "columns")?,
                     parse_num(rest[1], ln, "rows")?,
+                );
+                if columns == 0 || rows == 0 {
+                    return Err(err(ln, "arch needs at least one column and one row"));
+                }
+                arch = Some((
+                    columns,
+                    rows,
                     ClbCapacity {
                         luts: parse_num(rest[2], ln, "clb luts")?,
                         ffs: parse_num(rest[3], ln, "clb ffs")?,
@@ -406,6 +413,16 @@ mod tests {
         let text = "mfaplace-netlist v1\narch 4 4 8 16\nfrobnicate 1 2\n";
         let e = read_design(text).unwrap_err();
         assert!(e.message.contains("unknown directive"));
+    }
+
+    #[test]
+    fn rejects_an_empty_fabric() {
+        for arch in ["arch 0 0 0 0", "arch 0 4 8 16", "arch 4 0 8 16"] {
+            let text = format!("mfaplace-netlist v1\n{arch}\ninst LUT 1\n");
+            let e = read_design(&text).unwrap_err();
+            assert_eq!(e.line, 2, "{arch}: {e}");
+            assert!(e.message.contains("at least one column"), "{arch}: {e}");
+        }
     }
 
     #[test]

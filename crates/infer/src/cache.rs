@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::plan::Plan;
-use crate::quant::{Precision, QuantPlan};
+use crate::quant::QuantPlan;
 
 /// Identity of the weights a plan was compiled from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -73,8 +73,6 @@ pub enum PlanPrecision {
     F32,
     /// int8 arena + int8 GEMM compute (f16/f32 islands where needed).
     Int8,
-    /// binary16 arena, f32 compute.
-    F16,
 }
 
 impl PlanPrecision {
@@ -83,16 +81,6 @@ impl PlanPrecision {
         match self {
             PlanPrecision::F32 => "f32",
             PlanPrecision::Int8 => "int8",
-            PlanPrecision::F16 => "f16",
-        }
-    }
-}
-
-impl From<Precision> for PlanPrecision {
-    fn from(p: Precision) -> PlanPrecision {
-        match p {
-            Precision::Int8 => PlanPrecision::Int8,
-            Precision::F16 => PlanPrecision::F16,
         }
     }
 }
@@ -125,17 +113,12 @@ impl PlanKey {
         }
     }
 
-    /// Key for a quantized plan of the given precision.
-    pub fn quant(
-        source: PlanSource,
-        shape: Vec<usize>,
-        precision: Precision,
-        folded: bool,
-    ) -> PlanKey {
+    /// Key for an int8 quantized plan.
+    pub fn quant(source: PlanSource, shape: Vec<usize>, folded: bool) -> PlanKey {
         PlanKey {
             source,
             shape,
-            precision: precision.into(),
+            precision: PlanPrecision::Int8,
             folded,
         }
     }
@@ -340,7 +323,7 @@ impl Default for PlanCache {
 mod tests {
     use super::*;
     use crate::plan::PlanOptions;
-    use crate::quant::{Calibration, QuantOptions};
+    use crate::quant::Calibration;
     use mfaplace_autograd::Graph;
     use mfaplace_tensor::Tensor;
 
@@ -360,7 +343,7 @@ mod tests {
     fn quantize(plan: &Arc<Plan>) -> Arc<QuantPlan> {
         let input = vec![0.5f32, -1.0, 0.25, 0.75];
         let calib = Calibration::collect(plan, [input.as_slice()]).unwrap();
-        Arc::new(QuantPlan::build(plan.clone(), &calib, QuantOptions::default()).unwrap())
+        Arc::new(QuantPlan::build(plan.clone(), &calib).unwrap())
     }
 
     fn key(source: PlanSource, n: usize) -> PlanKey {
@@ -368,7 +351,7 @@ mod tests {
     }
 
     fn qkey(source: PlanSource, n: usize) -> PlanKey {
-        PlanKey::quant(source, vec![n, 1, 2, 2], Precision::Int8, false)
+        PlanKey::quant(source, vec![n, 1, 2, 2], false)
     }
 
     #[test]

@@ -21,55 +21,21 @@
 //! each worker allocates its private score row (identical behaviour and
 //! threshold as the tape kernel, so tape-vs-plan comparisons stay fair).
 //!
-//! # Parallel level scheduling
-//!
-//! The plan's steps are stored level-major: each level is a wave of
-//! mutually independent ops whose write spans are pairwise disjoint (see
-//! `assign_arena` / `verify_levels` in `plan.rs`). With `workers > 1`,
-//! [`run_plan_workers`] executes each level's ops concurrently on the
-//! `mfaplace-rt` pool; because every op writes its own disjoint span and
-//! each kernel is deterministic at any worker count, the result is
-//! **bitwise identical** to serial replay — there is no reduction across
-//! ops, so no merge-order hazard exists. The worker count defaults to
-//! `MFAPLACE_PLAN_WORKERS` (falling back to the pool's thread budget).
-//!
 //! # Safety
 //!
 //! Ops borrow disjoint arena spans mutably and immutably at once through
 //! raw pointers. Soundness rests on the allocator invariant (an op's
-//! output/scratch spans never overlap a live operand span, and same-level
-//! ops never write each other's read or write spans — see
-//! `assign_arena`), which is verified at capture time and re-checked per
-//! op in debug builds.
+//! output/scratch spans never overlap a live operand span — see
+//! `assign_arena`), which is re-checked per op in debug builds.
 
 use std::sync::Arc;
 
 use mfaplace_autograd::gelu_fwd;
-use mfaplace_rt::pool;
-use mfaplace_rt::timer::ScopeTimer;
 use mfaplace_tensor::{layer_norm_rows, lowlevel, softmax_row};
 
 #[cfg(debug_assertions)]
 use crate::plan::for_each_operand;
 use crate::plan::{ArenaRange, BmmKind, IrOp, Loc, Plan, Step, ValId};
-
-/// Resolves the plan-executor worker count from `MFAPLACE_PLAN_WORKERS`.
-///
-/// Unset (or unparsable/zero) falls back to the runtime pool's thread
-/// budget (`MFAPLACE_THREADS` / available parallelism), so a single-core
-/// host stays on the serial path with zero overhead; `=1` forces serial
-/// replay explicitly.
-pub fn plan_workers_from_env() -> usize {
-    plan_workers_from_str(std::env::var("MFAPLACE_PLAN_WORKERS").ok().as_deref())
-}
-
-/// [`plan_workers_from_env`] over an explicit value, for tests and CLI.
-pub fn plan_workers_from_str(v: Option<&str>) -> usize {
-    match v.map(str::trim).and_then(|s| s.parse::<usize>().ok()) {
-        Some(n) if n > 0 => n,
-        _ => pool::max_threads(),
-    }
-}
 
 /// Owns the mutable state (activation arena) needed to run a [`Plan`].
 ///
@@ -81,15 +47,11 @@ pub struct PlanExecutor {
     plan: Arc<Plan>,
     arena: Vec<f32>,
     runs: u64,
-    workers: usize,
 }
 
 impl PlanExecutor {
     /// Builds an executor, allocating the arena once up front. Accepts a
     /// bare `Plan` or an `Arc<Plan>` (e.g. out of a [`crate::PlanCache`]).
-    /// The level-scheduler worker count comes from
-    /// [`plan_workers_from_env`]; override it with
-    /// [`PlanExecutor::set_workers`].
     pub fn new(plan: impl Into<Arc<Plan>>) -> PlanExecutor {
         let plan = plan.into();
         let arena = vec![0.0f32; plan.arena_len()];
@@ -97,19 +59,7 @@ impl PlanExecutor {
             plan,
             arena,
             runs: 0,
-            workers: plan_workers_from_env(),
         }
-    }
-
-    /// Sets the number of workers used for intra-plan level execution
-    /// (`1` = serial replay). Outputs are bitwise identical either way.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured level-scheduler worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The compiled plan this executor runs.
@@ -133,7 +83,7 @@ impl PlanExecutor {
     /// call. Allocation-free: every write lands in the arena.
     pub fn run_batch(&mut self, input: &[f32]) -> &[f32] {
         self.runs += 1;
-        run_plan_workers(&self.plan, &mut self.arena, input, self.workers)
+        run_plan(&self.plan, &mut self.arena, input)
     }
 }
 
@@ -149,82 +99,10 @@ impl PlanExecutor {
 /// explicitly clears it first — stale data from a previous plan is never
 /// observable.
 pub fn run_plan<'a>(plan: &Plan, arena: &'a mut Vec<f32>, input: &[f32]) -> &'a [f32] {
-    run_plan_workers(plan, arena, input, 1)
-}
-
-/// [`run_plan`] with an explicit level-scheduler worker count: levels of
-/// mutually independent ops execute concurrently on the `mfaplace-rt`
-/// pool (contiguous op-index blocks per worker), bitwise identical to
-/// serial replay because same-level ops write pairwise-disjoint arena
-/// spans and every kernel is deterministic at any worker count.
-pub fn run_plan_workers<'a>(
-    plan: &Plan,
-    arena: &'a mut Vec<f32>,
-    input: &[f32],
-    workers: usize,
-) -> &'a [f32] {
-    assert_eq!(
-        input.len(),
-        plan.input_numel(),
-        "plan input length mismatch (plan compiled for shape {:?})",
-        plan.input_shape(),
-    );
-    if arena.len() < plan.arena_len() {
-        arena.resize(plan.arena_len(), 0.0);
-    }
-    let base = arena.as_mut_ptr();
-    if workers <= 1 {
-        for step in &plan.steps {
-            #[cfg(debug_assertions)]
-            check_disjoint(plan, step);
-            exec_step(plan, input, base, step);
-        }
-    } else {
-        for range in &plan.levels {
-            let steps = &plan.steps[range.clone()];
-            #[cfg(debug_assertions)]
-            for step in steps {
-                check_disjoint(plan, step);
-            }
-            if steps.len() == 1 {
-                exec_step(plan, input, base, &steps[0]);
-                continue;
-            }
-            let _lvl = ScopeTimer::new("core/forward_plan_level");
-            let nt = workers.min(steps.len());
-            // Split the host's thread budget between op-level concurrency
-            // and each kernel's own intra-op parallelism (thread overrides
-            // are per-thread, so spawned workers start uncapped).
-            let inner = (pool::max_threads() / nt).max(1);
-            let shared = ArenaBase(base);
-            let shared = &shared;
-            pool::with_threads(nt, || {
-                pool::parallel_for(steps.len(), |r| {
-                    let base = shared.0;
-                    pool::with_threads(inner, || {
-                        for i in r {
-                            exec_step(plan, input, base, &steps[i]);
-                        }
-                    });
-                });
-            });
-        }
-    }
+    let out = run_plan_observed(plan, arena, input, &mut |_, _| {});
     mfaplace_rt::timer::count("infer/plan_forwards", 1);
-    let Loc::Arena { off, len } = plan.values[plan.output].loc else {
-        unreachable!("plan output is always arena-resident");
-    };
-    &arena[off..off + len]
+    out
 }
-
-/// The arena base pointer, shared across a level's workers.
-///
-/// Sound to send/share because the level scheduler guarantees every
-/// concurrently executing op writes a pairwise-disjoint span (verified at
-/// capture time by `verify_levels`).
-struct ArenaBase(*mut f32);
-unsafe impl Send for ArenaBase {}
-unsafe impl Sync for ArenaBase {}
 
 /// Immutable view of a plan value.
 ///
@@ -287,10 +165,10 @@ fn check_disjoint(plan: &Plan, step: &Step) {
     });
 }
 
-/// Serial replay of `plan` that calls `observe(step_index, out_slice)`
-/// after each step — the quantization calibrator's hook for collecting
-/// per-value activation ranges. Identical arithmetic to [`run_plan`]
-/// (same `exec_step` calls in the same order); the observer only reads.
+/// Serial replay of `plan` in step order that calls
+/// `observe(step_index, out_slice)` after each step — [`run_plan`]'s loop
+/// and the quantization calibrator's hook for collecting per-value
+/// activation ranges; the observer only reads.
 pub(crate) fn run_plan_observed<'a>(
     plan: &Plan,
     arena: &'a mut Vec<f32>,

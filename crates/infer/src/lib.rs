@@ -45,10 +45,6 @@ mod quant;
 pub use cache::{
     PlanCache, PlanCacheStats, PlanKey, PlanPrecision, PlanSource, DEFAULT_PLAN_CACHE_BYTES,
 };
-pub use exec::{
-    plan_workers_from_env, plan_workers_from_str, run_plan, run_plan_workers, PlanExecutor,
-};
+pub use exec::{run_plan, PlanExecutor};
 pub use plan::{Plan, PlanOptions, PlanStats};
-pub use quant::{
-    run_quant_plan, Calibration, Precision, QuantExecutor, QuantOptions, QuantPlan, QuantStats,
-};
+pub use quant::{run_quant_plan, Calibration, QuantExecutor, QuantPlan, QuantStats};

@@ -7,7 +7,7 @@
 //! *values*), a single recording at a given `[B, C, H, W]` is a faithful
 //! static program for every batch of that shape.
 //!
-//! Compilation runs four passes over the exported segment:
+//! Compilation runs these passes over the exported segment:
 //!
 //! 1. **Lowering** — tape nodes become [`IrOp`]s with all shapes baked in;
 //!    pre-mark operands (parameters) and mid-segment constants (e.g. the
@@ -28,20 +28,11 @@
 //!    long as the liveness pass keeps the shared span alive until the last
 //!    reader of **either** value (a write-after-read extension of the
 //!    plain per-value liveness).
-//! 5. **Level scheduling** — the op-level dependency DAG (an edge per
-//!    operand definition, aliases resolved to their roots) is partitioned
-//!    into topological levels: waves of mutually independent ops. Steps are
-//!    reordered level-major (stable within a level), so serial replay is
-//!    still a valid topological order and the executor can run any level's
-//!    ops concurrently.
-//! 6. **Arena assignment** — liveness intervals for every intermediate plus
+//! 5. **Arena assignment** — liveness intervals for every intermediate plus
 //!    op-local scratch (conv im2col/GEMM buffers, attention score rows) are
 //!    packed by a first-fit free list with coalescing into a single arena
-//!    whose peak size is known at compile time. Spans are allocated and
-//!    released at *level* granularity, so ops in the same level always hold
-//!    pairwise-disjoint write spans (verified after the pass) — the
-//!    property that makes parallel level execution bitwise identical to
-//!    serial replay. The executor then runs every forward with zero heap
+//!    whose peak size is known at compile time. The executor replays the
+//!    steps serially in tape order and runs every forward with zero heap
 //!    allocations.
 
 use std::collections::HashMap;
@@ -85,12 +76,6 @@ pub struct PlanStats {
     pub weights: usize,
     /// Weight-table bytes (shared `Arc`s counted once per plan).
     pub weight_bytes: usize,
-    /// Dependency-DAG levels (waves of mutually independent ops). Each
-    /// level advances the longest dependency chain by exactly one op, so
-    /// this is also the critical-path depth in ops.
-    pub levels: usize,
-    /// Ops in the widest level — the plan's maximum op-level parallelism.
-    pub max_level_width: usize,
     /// Pure-reshape `Copy` steps elided into arena aliases.
     pub copies_elided: usize,
 }
@@ -333,11 +318,6 @@ pub struct Plan {
     pub(crate) input: ValId,
     pub(crate) output: ValId,
     pub(crate) arena_len: usize,
-    /// Step-index ranges of the dependency levels, in execution order.
-    /// Steps are stored level-major, so the ranges are contiguous and
-    /// cover `0..steps.len()`; ops inside one level are mutually
-    /// independent and write pairwise-disjoint arena spans.
-    pub(crate) levels: Vec<std::ops::Range<usize>>,
     /// Storage root per value (`alias[v] == v` unless `v` is an elided
     /// reshape of another value). Kept so alternative arena layouts —
     /// the quantized byte arena — can redo liveness with different
@@ -445,9 +425,7 @@ impl Plan {
             fold_bn(&mut steps, &mut values, &mut weights, &mut stats);
         }
         let alias = elide_copies(&mut steps, &values, output_val, &mut stats);
-        let levels = schedule_levels(&mut steps, &values, &alias);
-        let arena_len = assign_arena(&mut steps, &mut values, output_val, &alias, &levels);
-        verify_levels(&steps, &values, &levels)?;
+        let arena_len = assign_arena(&mut steps, &mut values, output_val, &alias);
 
         stats.ops = steps.len();
         stats.arena_bytes = arena_len * std::mem::size_of::<f32>();
@@ -456,8 +434,6 @@ impl Plan {
             .iter()
             .map(|w| w.numel() * std::mem::size_of::<f32>())
             .sum();
-        stats.levels = levels.len();
-        stats.max_level_width = levels.iter().map(|r| r.len()).max().unwrap_or(0);
 
         Ok(Plan {
             steps,
@@ -466,7 +442,6 @@ impl Plan {
             input: input_val,
             output: output_val,
             arena_len,
-            levels,
             alias,
             stats,
         })
@@ -498,7 +473,7 @@ impl Plan {
     }
 
     /// Estimated bytes of the plan's own metadata: op list, value table,
-    /// alias map, level ranges and per-op heap vectors (fused affines,
+    /// alias map and per-op heap vectors (fused affines,
     /// permute strides, concat part lists). Weight tensor *data* is
     /// excluded — it is accounted separately via
     /// [`PlanStats::weight_bytes`]. The plan cache charges this so
@@ -509,7 +484,6 @@ impl Plan {
         let mut b = self.steps.len() * size_of::<Step>()
             + self.values.len() * size_of::<ValueInfo>()
             + self.alias.len() * size_of::<ValId>()
-            + self.levels.len() * size_of::<std::ops::Range<usize>>()
             + self.weights.len() * size_of::<Arc<Tensor>>();
         for v in &self.values {
             b += v.shape.len() * size_of::<usize>();
@@ -562,11 +536,7 @@ impl Plan {
             s.fused_add_relu,
             s.folded_bn,
         );
-        let _ = writeln!(
-            out,
-            "  scheduler: {} levels (critical path {} ops), widest level {} ops, copies elided {}",
-            s.levels, s.levels, s.max_level_width, s.copies_elided,
-        );
+        let _ = writeln!(out, "  copies elided: {}", s.copies_elided);
         let _ = write!(
             out,
             "  input {:?} -> output {:?}",
@@ -1211,164 +1181,113 @@ fn elide_copies(
     alias
 }
 
-/// Partitions the steps into dependency levels (ASAP schedule): `level[s]`
-/// is the length of the longest operand chain feeding `s`, so every level
-/// is a wave of mutually independent ops and the level count equals the
-/// DAG's critical-path depth. Reorders `steps` level-major (stable within
-/// a level, preserving the original op-index merge order) and returns the
-/// contiguous step range of each level.
-fn schedule_levels(
-    steps: &mut Vec<Step>,
-    values: &[ValueInfo],
-    alias: &[ValId],
-) -> Vec<std::ops::Range<usize>> {
-    let n = steps.len();
-    // def_level[v]: level of the step defining root value v (None for the
-    // input and weights, which are ready before level 0).
-    let mut def_level: Vec<Option<usize>> = vec![None; values.len()];
-    let mut level_of: Vec<usize> = vec![0; n];
+/// Last read of every storage root, by step index: `last_read[r]` is the
+/// index of the final step with an operand in `r`'s alias class, `None`
+/// for roots nothing reads. The plan output's root is pinned live to the
+/// end (`usize::MAX`). Reads resolve through `alias`, so an elided
+/// reshape extends its source's lifetime to the last reader of the whole
+/// alias class. Shared by the f32 arena and the quantized byte arena.
+pub(crate) fn last_reads(steps: &[Step], alias: &[ValId], output: ValId) -> Vec<Option<usize>> {
+    let mut last_read: Vec<Option<usize>> = vec![None; alias.len()];
     for (i, step) in steps.iter().enumerate() {
-        let mut lv = 0usize;
-        for_each_operand(&step.op, &mut |v| {
-            if let Some(dl) = def_level[alias[v]] {
-                lv = lv.max(dl + 1);
-            }
-        });
-        level_of[i] = lv;
-        def_level[step.out] = Some(lv);
+        for_each_operand(&step.op, &mut |v| last_read[alias[v]] = Some(i));
     }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (level_of[i], i));
-    let reordered: Vec<Step> = order.iter().map(|&i| steps[i].clone()).collect();
-    *steps = reordered;
-    let mut ranges = Vec::new();
-    let mut start = 0usize;
-    for j in 1..=n {
-        if j == n || level_of[order[j]] != level_of[order[j - 1]] {
-            ranges.push(start..j);
-            start = j;
+    last_read[alias[output]] = Some(usize::MAX);
+    last_read
+}
+
+/// Roots whose storage dies after step `i`: the operands it read last
+/// (deduplicated — `q = k = v` aliases) and its own output when nothing
+/// ever reads it.
+pub(crate) fn dying_after(
+    i: usize,
+    step: &Step,
+    alias: &[ValId],
+    last_read: &[Option<usize>],
+) -> Vec<ValId> {
+    let mut dying: Vec<ValId> = Vec::new();
+    for_each_operand(&step.op, &mut |v| {
+        let r = alias[v];
+        if last_read[r] == Some(i) && !dying.contains(&r) {
+            dying.push(r);
         }
+    });
+    if last_read[step.out].is_none() {
+        dying.push(step.out);
     }
-    ranges
+    dying
 }
 
 /// Assigns every intermediate (and op-local scratch) an arena span from
-/// liveness intervals; returns the arena length in floats.
+/// per-op liveness intervals, first fit; returns the arena length in
+/// floats.
 ///
-/// Spans are allocated and released at **level** granularity: all of a
-/// level's outputs and scratch are placed while every span read at or
-/// after this level is still held, and frees happen only at the end of a
-/// level. Consequences, which the executor's raw-pointer slicing relies
-/// on:
-///
-/// - an op's destination/scratch span never overlaps a live source span
-///   (the per-op invariant serial replay needs), and
-/// - ops in the *same* level hold pairwise-disjoint write spans and never
-///   write a span any same-level op reads (the stronger invariant that
-///   makes parallel level execution bitwise identical to serial replay).
-///
-/// Reads resolve through `alias`, so an elided reshape extends its
-/// source's lifetime to the last reader of the whole alias class.
+/// Each op's output and scratch are placed while its operands are still
+/// held, so a destination/scratch span never overlaps a live source span
+/// — the invariant the executor's raw-pointer slicing relies on. Scratch
+/// is released right after its op; operands after their last read.
 fn assign_arena(
     steps: &mut [Step],
     values: &mut [ValueInfo],
     output: ValId,
     alias: &[ValId],
-    levels: &[std::ops::Range<usize>],
 ) -> usize {
-    let out_root = alias[output];
-    // last_level[r]: level of the final read of root value r.
-    let mut last_level: Vec<Option<usize>> = vec![None; values.len()];
-    for (li, range) in levels.iter().enumerate() {
-        for step in &steps[range.clone()] {
-            for_each_operand(&step.op, &mut |v| {
-                last_level[alias[v]] = Some(li);
-            });
-        }
-    }
-
+    let last_read = last_reads(steps, alias, output);
     let mut fl = FreeList::default();
-    let mut freed = vec![false; values.len()];
-    for (li, range) in levels.iter().enumerate() {
-        // Allocate every output and scratch span of the level first…
-        let mut level_scratch: Vec<ArenaRange> = Vec::new();
-        for step in &mut steps[range.clone()] {
-            let out = step.out;
-            let out_len = values[out].numel;
-            let off = fl.alloc(out_len);
-            values[out].loc = Loc::Arena { off, len: out_len };
-            match &mut step.op {
-                IrOp::Conv2d {
-                    cols,
-                    ymat,
-                    b,
-                    c,
-                    kh,
-                    kw,
-                    oc,
-                    oh,
-                    ow,
-                    ..
-                } => {
-                    let cl = *c * *kh * *kw * *b * *oh * *ow;
-                    let yl = *oc * *b * *oh * *ow;
-                    *cols = ArenaRange {
-                        off: fl.alloc(cl),
-                        len: cl,
-                    };
-                    *ymat = ArenaRange {
-                        off: fl.alloc(yl),
-                        len: yl,
-                    };
-                    level_scratch.push(*cols);
-                    level_scratch.push(*ymat);
-                }
-                IrOp::AttentionTm { scratch: s, lk, .. } => {
-                    *s = ArenaRange {
-                        off: fl.alloc(*lk),
-                        len: *lk,
-                    };
-                    level_scratch.push(*s);
-                }
-                IrOp::AttentionFm { scratch: s, l, .. } => {
-                    *s = ArenaRange {
-                        off: fl.alloc(*l),
-                        len: *l,
-                    };
-                    level_scratch.push(*s);
-                }
-                _ => {}
+    for (i, step) in steps.iter_mut().enumerate() {
+        let out = step.out;
+        let out_len = values[out].numel;
+        let off = fl.alloc(out_len);
+        values[out].loc = Loc::Arena { off, len: out_len };
+        let mut scratch: Vec<ArenaRange> = Vec::new();
+        match &mut step.op {
+            IrOp::Conv2d {
+                cols,
+                ymat,
+                b,
+                c,
+                kh,
+                kw,
+                oc,
+                oh,
+                ow,
+                ..
+            } => {
+                let cl = *c * *kh * *kw * *b * *oh * *ow;
+                let yl = *oc * *b * *oh * *ow;
+                *cols = ArenaRange {
+                    off: fl.alloc(cl),
+                    len: cl,
+                };
+                *ymat = ArenaRange {
+                    off: fl.alloc(yl),
+                    len: yl,
+                };
+                scratch.push(*cols);
+                scratch.push(*ymat);
             }
+            IrOp::AttentionTm { scratch: s, lk, .. } => {
+                *s = ArenaRange {
+                    off: fl.alloc(*lk),
+                    len: *lk,
+                };
+                scratch.push(*s);
+            }
+            IrOp::AttentionFm { scratch: s, l, .. } => {
+                *s = ArenaRange {
+                    off: fl.alloc(*l),
+                    len: *l,
+                };
+                scratch.push(*s);
+            }
+            _ => {}
         }
-        // …then release at level end: scratch, operands whose final read
-        // is in this level, and outputs nothing ever reads.
-        for s in level_scratch {
+        for s in scratch {
             fl.release(s.off, s.len);
         }
-        for step in &steps[range.clone()] {
-            let mut dying: Vec<ValId> = Vec::new();
-            for_each_operand(&step.op, &mut |v| {
-                let r = alias[v];
-                if last_level[r] == Some(li) && r != out_root && !dying.contains(&r) {
-                    dying.push(r);
-                }
-            });
-            for r in dying {
-                if let Loc::Arena { off, len } = values[r].loc {
-                    if !freed[r] {
-                        fl.release(off, len);
-                        freed[r] = true;
-                    }
-                }
-            }
-            let out = step.out;
-            if last_level[out].is_none() && out != out_root {
-                if let Loc::Arena { off, len } = values[out].loc {
-                    if !freed[out] {
-                        fl.release(off, len);
-                        freed[out] = true;
-                    }
-                }
+        for r in dying_after(i, step, alias, &last_read) {
+            if let Loc::Arena { off, len } = values[r].loc {
+                fl.release(off, len);
             }
         }
     }
@@ -1381,71 +1300,4 @@ fn assign_arena(
         }
     }
     fl.high
-}
-
-/// Post-assignment safety check of the parallel-execution invariant: ops
-/// in the same level must neither write overlapping spans nor write a span
-/// another same-level op reads. A violation turns into a capture error
-/// (the predictor then falls back to the tape engine) instead of silent
-/// data corruption.
-fn verify_levels(
-    steps: &[Step],
-    values: &[ValueInfo],
-    levels: &[std::ops::Range<usize>],
-) -> Result<(), String> {
-    let write_spans = |step: &Step| -> Vec<(usize, usize)> {
-        let mut w = Vec::new();
-        if let Loc::Arena { off, len } = values[step.out].loc {
-            w.push((off, len));
-        }
-        match &step.op {
-            IrOp::Conv2d { cols, ymat, .. } => {
-                w.push((cols.off, cols.len));
-                w.push((ymat.off, ymat.len));
-            }
-            IrOp::AttentionTm { scratch, .. } | IrOp::AttentionFm { scratch, .. } => {
-                w.push((scratch.off, scratch.len));
-            }
-            _ => {}
-        }
-        w.retain(|&(_, len)| len > 0);
-        w
-    };
-    let read_spans = |step: &Step| -> Vec<(usize, usize)> {
-        let mut r = Vec::new();
-        for_each_operand(&step.op, &mut |v| {
-            if let Loc::Arena { off, len } = values[v].loc {
-                if len > 0 {
-                    r.push((off, len));
-                }
-            }
-        });
-        r
-    };
-    let overlap = |a: (usize, usize), b: (usize, usize)| a.0 < b.0 + b.1 && b.0 < a.0 + a.1;
-    for (li, range) in levels.iter().enumerate() {
-        let level = &steps[range.clone()];
-        for i in 0..level.len() {
-            let wi = write_spans(&level[i]);
-            let ri = read_spans(&level[i]);
-            for other in level.iter().skip(i + 1) {
-                let wj = write_spans(other);
-                let rj = read_spans(other);
-                for &a in &wi {
-                    if wj.iter().any(|&b| overlap(a, b)) {
-                        return Err(format!("level {li}: write/write span overlap"));
-                    }
-                    if rj.iter().any(|&b| overlap(a, b)) {
-                        return Err(format!("level {li}: write/read span overlap"));
-                    }
-                }
-                for &a in &ri {
-                    if wj.iter().any(|&b| overlap(a, b)) {
-                        return Err(format!("level {li}: read/write span overlap"));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
 }

@@ -1,11 +1,11 @@
-//! Quantized compiled plans: int8/f16 activation arenas with offline
-//! calibration and a serial byte-arena executor.
+//! Quantized compiled plans: an int8 activation arena (with f16 islands)
+//! built from offline calibration, and a byte-arena executor.
 //!
 //! A [`QuantPlan`] is built *from* a compiled f32 [`Plan`] plus a
 //! [`Calibration`] (per-step activation abs-max ranges collected by
 //! replaying the f32 plan over representative inputs). It reuses the f32
-//! plan's step list, dependency levels and alias classes unchanged, and
-//! re-derives only the storage layer:
+//! plan's step list and alias classes unchanged, and re-derives only the
+//! storage layer:
 //!
 //! - every intermediate gets a **storage class** ([`Store`]): `i8`
 //!   (symmetric per-tensor scale, zero-point 0) for conv-trunk values,
@@ -29,12 +29,11 @@
 //!
 //! Activations live in a byte-granular arena (backed by `Vec<u64>` for
 //! 8-byte alignment; spans are allocated in 64-byte blocks, so every
-//! typed view is aligned). Liveness re-runs the f32 plan's level-granular
-//! first-fit scheme with per-value byte sizes. A single shared scratch
-//! region at the arena tail — sized to the largest per-step need — holds
-//! quantize/dequant/im2col/GEMM temporaries; because that region is
-//! shared across steps, the quantized executor is **serial only** (the
-//! f32 plan keeps the parallel level scheduler).
+//! typed view is aligned). Liveness re-runs the f32 plan's per-op
+//! first-fit scheme (the same last-read walk) with per-value byte sizes.
+//! A single shared scratch region at the arena tail — sized to the
+//! largest per-step need — holds quantize/dequant/im2col/GEMM
+//! temporaries.
 //!
 //! # Determinism
 //!
@@ -49,65 +48,14 @@ use mfaplace_tensor::half::{f16_bits_to_f32, f32_to_f16_bits};
 use mfaplace_tensor::simd;
 
 use crate::exec::{exec_op, run_plan_observed, OpScratch};
-use crate::plan::{for_each_operand, FreeList, IrOp, Loc, Plan, PlanStats, Step, ValId};
+use crate::plan::{
+    dying_after, for_each_operand, last_reads, FreeList, IrOp, Loc, Plan, PlanStats, Step, ValId,
+};
 
 /// Byte-span allocation granularity: every arena span starts on a
 /// 64-byte boundary, so f32/f16/i32 views over the `u64` backing are
 /// always aligned.
 const BLOCK: usize = 64;
-
-/// Numeric precision of a quantized plan's activation arena.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Precision {
-    /// int8 conv trunk + f16 transformer values, int8 GEMM compute.
-    #[default]
-    Int8,
-    /// Everything stored as binary16; compute stays f32 (storage-only).
-    F16,
-}
-
-impl Precision {
-    /// Stable lower-case name (CLI flags, metrics labels, artifacts).
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::Int8 => "int8",
-            Precision::F16 => "f16",
-        }
-    }
-
-    /// Parses a CLI/env spelling. Accepts `int8`/`i8` and `f16`/`half`.
-    pub fn parse(s: &str) -> Option<Precision> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "int8" | "i8" => Some(Precision::Int8),
-            "f16" | "half" => Some(Precision::F16),
-            _ => None,
-        }
-    }
-
-    /// One-byte artifact tag.
-    pub fn code(self) -> u8 {
-        match self {
-            Precision::Int8 => 1,
-            Precision::F16 => 2,
-        }
-    }
-
-    /// Inverse of [`Precision::code`].
-    pub fn from_code(c: u8) -> Option<Precision> {
-        match c {
-            1 => Some(Precision::Int8),
-            2 => Some(Precision::F16),
-            _ => None,
-        }
-    }
-}
-
-/// Options for [`QuantPlan::build`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QuantOptions {
-    /// Arena precision; see [`Precision`].
-    pub precision: Precision,
-}
 
 /// Per-step activation ranges collected by replaying a compiled f32 plan
 /// over representative inputs (the offline calibration pass).
@@ -132,7 +80,11 @@ pub struct Calibration {
     pub(crate) kinds: Vec<u8>,
 }
 
-const CALIB_MAGIC: &[u8; 8] = b"MFACAL01";
+/// Version 02: ranges are indexed by tape-order steps. Version 01 blobs
+/// were indexed by a level-major step order whose same-kind ops sit in
+/// other positions, so they fail the magic check rather than being
+/// silently misapplied.
+const CALIB_MAGIC: &[u8; 8] = b"MFACAL02";
 
 impl Calibration {
     /// Replays `plan` serially over every batch in `batches` (each a
@@ -397,7 +349,6 @@ pub struct QuantPlan {
     /// Shared per-step scratch region at the arena tail.
     pub(crate) scratch: ByteRange,
     arena_bytes: usize,
-    precision: Precision,
     stats: PlanStats,
     qstats: QuantStats,
 }
@@ -409,11 +360,7 @@ impl QuantPlan {
     /// [`Calibration`]). A calibration that does not align — e.g. from a
     /// different checkpoint or grid — is an error whose message says to
     /// recalibrate, and callers fall back to f32.
-    pub fn build(
-        base: Arc<Plan>,
-        calib: &Calibration,
-        opts: QuantOptions,
-    ) -> Result<QuantPlan, String> {
+    pub fn build(base: Arc<Plan>, calib: &Calibration) -> Result<QuantPlan, String> {
         let step_absmax = align_calibration(calib, &base)?;
         let n_vals = base.values.len();
 
@@ -434,19 +381,12 @@ impl QuantPlan {
             let am = step_absmax[i];
             store[r] = if r == out_root || !am.is_finite() {
                 Store::F32
-            } else {
-                match opts.precision {
-                    Precision::F16 => Store::F16,
-                    Precision::Int8 => {
-                        if conv_trunk(&step.op) {
-                            Store::I8 {
-                                scale: absmax_to_scale(am),
-                            }
-                        } else {
-                            Store::F16
-                        }
-                    }
+            } else if conv_trunk(&step.op) {
+                Store::I8 {
+                    scale: absmax_to_scale(am),
                 }
+            } else {
+                Store::F16
             };
         }
         for v in 0..n_vals {
@@ -459,12 +399,7 @@ impl QuantPlan {
         let mut qsteps = Vec::with_capacity(base.steps.len());
         let mut qweight_bytes = 0usize;
         for step in base.steps.iter() {
-            let compiled = if opts.precision == Precision::Int8 {
-                compile_i8_step(&base, &val_absmax, step)
-            } else {
-                None
-            };
-            let sp = compiled.unwrap_or(StepPlan::Generic);
+            let sp = compile_i8_step(&base, &val_absmax, step).unwrap_or(StepPlan::Generic);
             match &sp {
                 StepPlan::ConvI8 { qw, wscale, .. } => {
                     qweight_bytes += qw.len() + 4 * wscale.len();
@@ -477,8 +412,8 @@ impl QuantPlan {
             qsteps.push(sp);
         }
 
-        // Byte arena: the f32 plan's level-granular liveness with
-        // per-value byte sizes, plus the shared scratch tail.
+        // Byte arena: the f32 plan's per-op liveness with per-value byte
+        // sizes, plus the shared scratch tail.
         let (spans, data_bytes) = assign_byte_arena(&base, &store);
         let scratch_len = base
             .steps
@@ -525,7 +460,6 @@ impl QuantPlan {
             qsteps,
             scratch,
             arena_bytes,
-            precision: opts.precision,
             stats,
             qstats,
         })
@@ -534,11 +468,6 @@ impl QuantPlan {
     /// The f32 plan this quantized plan was built from.
     pub fn base(&self) -> &Arc<Plan> {
         &self.base
-    }
-
-    /// Arena precision.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Plan counters with `arena_bytes`/`weight_bytes` reflecting the
@@ -591,8 +520,7 @@ impl QuantPlan {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "quant[{}] {} ops ({} int8-gemm, {} generic); values i8/f16/f32 {}/{}/{}; arena {} B ({} B scratch) vs f32 {} B; qweights {} B",
-            self.precision.name(),
+            "quant[int8] {} ops ({} int8-gemm, {} generic); values i8/f16/f32 {}/{}/{}; arena {} B ({} B scratch) vs f32 {} B; qweights {} B",
             self.base.stats().ops,
             self.qstats.i8_steps,
             self.qstats.generic_steps,
@@ -788,69 +716,33 @@ fn step_scratch_bytes(base: &Plan, store: &[Store], q: &StepPlan, step: &Step) -
     }
 }
 
-/// Byte-arena assignment: the f32 plan's level-granular first-fit
-/// liveness re-run with per-value byte sizes (in 64-byte blocks).
-/// Returns per-value spans and the data-region byte length.
+/// Byte-arena assignment: the f32 plan's per-op first-fit liveness
+/// ([`last_reads`] / [`dying_after`]) re-run with per-value byte sizes
+/// (in 64-byte blocks). Returns per-value spans and the data-region byte
+/// length.
 fn assign_byte_arena(base: &Plan, store: &[Store]) -> (Vec<Option<ByteRange>>, usize) {
     let values = &base.values;
     let alias = &base.alias;
-    let out_root = alias[base.output];
-    let mut last_level: Vec<Option<usize>> = vec![None; values.len()];
-    for (li, range) in base.levels.iter().enumerate() {
-        for step in &base.steps[range.clone()] {
-            for_each_operand(&step.op, &mut |v| {
-                last_level[alias[v]] = Some(li);
-            });
-        }
-    }
-
+    let last_read = last_reads(&base.steps, alias, base.output);
     let mut fl = FreeList::default();
     let mut spans: Vec<Option<ByteRange>> = vec![None; values.len()];
-    let mut units = vec![0usize; values.len()];
-    let mut freed = vec![false; values.len()];
-    for (li, range) in base.levels.iter().enumerate() {
-        for step in &base.steps[range.clone()] {
-            let out = step.out;
-            let bytes = values[out].numel * store[out].elem_bytes();
-            let u = bytes.div_ceil(BLOCK);
-            let off = fl.alloc(u);
-            units[out] = u;
-            spans[out] = Some(ByteRange {
-                off: off * BLOCK,
-                len: bytes,
-            });
-        }
-        for step in &base.steps[range.clone()] {
-            let mut dying: Vec<ValId> = Vec::new();
-            for_each_operand(&step.op, &mut |v| {
-                let r = alias[v];
-                if last_level[r] == Some(li) && r != out_root && !dying.contains(&r) {
-                    dying.push(r);
-                }
-            });
-            for r in dying {
-                if let Some(sp) = spans[r] {
-                    if !freed[r] {
-                        fl.release(sp.off / BLOCK, units[r]);
-                        freed[r] = true;
-                    }
-                }
-            }
-            let out = step.out;
-            if last_level[out].is_none() && out != out_root {
-                if let Some(sp) = spans[out] {
-                    if !freed[out] {
-                        fl.release(sp.off / BLOCK, units[out]);
-                        freed[out] = true;
-                    }
-                }
+    for (i, step) in base.steps.iter().enumerate() {
+        let out = step.out;
+        let bytes = values[out].numel * store[out].elem_bytes();
+        let off = fl.alloc(bytes.div_ceil(BLOCK));
+        spans[out] = Some(ByteRange {
+            off: off * BLOCK,
+            len: bytes,
+        });
+        for r in dying_after(i, step, alias, &last_read) {
+            if let Some(sp) = spans[r] {
+                fl.release(sp.off / BLOCK, sp.len.div_ceil(BLOCK));
             }
         }
     }
     for v in 0..values.len() {
         if alias[v] != v {
             spans[v] = spans[alias[v]];
-            units[v] = units[alias[v]];
         }
     }
     (spans, fl.high() * BLOCK)
@@ -1363,7 +1255,7 @@ mod tests {
     fn int8_plan_tracks_f32_plan() {
         let (plan, input) = conv_net(2);
         let calib = Calibration::collect(&plan, [input.as_slice()]).unwrap();
-        let qp = QuantPlan::build(plan.clone(), &calib, QuantOptions::default()).unwrap();
+        let qp = QuantPlan::build(plan.clone(), &calib).unwrap();
         assert!(qp.quant_stats().i8_steps >= 2, "{}", qp.summary());
         assert!(qp.quant_stats().i8_values >= 1, "{}", qp.summary());
         assert!(qp.quant_stats().f16_values >= 1, "{}", qp.summary());
@@ -1383,33 +1275,10 @@ mod tests {
     }
 
     #[test]
-    fn f16_plan_is_close_and_arena_shrinks() {
-        let (plan, input) = conv_net(1);
-        let calib = Calibration::collect(&plan, [input.as_slice()]).unwrap();
-        let qp = QuantPlan::build(
-            plan.clone(),
-            &calib,
-            QuantOptions {
-                precision: Precision::F16,
-            },
-        )
-        .unwrap();
-        assert_eq!(qp.quant_stats().i8_steps, 0);
-        let mut arena = Vec::new();
-        let f32_out = crate::run_plan(&plan, &mut arena, &input).to_vec();
-        let mut qx = QuantExecutor::new(qp);
-        let q_out = qx.run_batch(&input);
-        let tol = 2e-3 * max_abs(&f32_out) + 1e-5;
-        for (a, b) in f32_out.iter().zip(q_out) {
-            assert!((a - b).abs() <= tol, "f32 {a} vs f16 {b}");
-        }
-    }
-
-    #[test]
     fn int8_arena_is_at_most_half_of_f32() {
         let (plan, input) = conv_net(4);
         let calib = Calibration::collect(&plan, [input.as_slice()]).unwrap();
-        let qp = QuantPlan::build(plan, &calib, QuantOptions::default()).unwrap();
+        let qp = QuantPlan::build(plan, &calib).unwrap();
         let qs = qp.quant_stats();
         assert!(
             qs.arena_bytes * 2 <= qs.f32_arena_bytes,
@@ -1432,6 +1301,17 @@ mod tests {
     }
 
     #[test]
+    fn calibration_in_the_level_major_step_order_is_refused() {
+        let (plan, input) = conv_net(1);
+        let mut old = Calibration::collect(&plan, [input.as_slice()])
+            .unwrap()
+            .to_bytes();
+        old[..8].copy_from_slice(b"MFACAL01");
+        let err = Calibration::from_bytes(&old).unwrap_err();
+        assert!(err.contains("bad magic"), "{err}");
+    }
+
+    #[test]
     fn stale_calibration_is_rejected() {
         let (plan, input) = conv_net(1);
         let calib = Calibration::collect(&plan, [input.as_slice()]).unwrap();
@@ -1440,7 +1320,7 @@ mod tests {
             step_absmax: calib.step_absmax[..calib.steps() - 1].to_vec(),
             kinds: calib.kinds[..calib.steps() - 1].to_vec(),
         };
-        let err = QuantPlan::build(plan, &stale, QuantOptions::default()).unwrap_err();
+        let err = QuantPlan::build(plan, &stale).unwrap_err();
         assert!(err.contains("recalibrate"), "{err}");
     }
 }

@@ -4,12 +4,14 @@
 //! is **bitwise identical** to the dynamic tape forward for every zoo
 //! architecture, batch size and grid size; with `fold_bn` it agrees to
 //! ≤1e-6. Also asserts the zero-allocation contract (stable arena, no
-//! regrowth across forwards) and the fusion/stats counters.
+//! regrowth across forwards), the fusion/stats counters, and the
+//! copy-elision aliasing rules: eliding a reshape never changes outputs,
+//! even when the elided source is read again *after* the alias is created.
 
 use std::collections::HashMap;
 
 use mfaplace_autograd::Graph;
-use mfaplace_infer::{Plan, PlanExecutor, PlanOptions};
+use mfaplace_infer::{run_plan, Plan, PlanExecutor, PlanOptions};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
 use mfaplace_tensor::Tensor;
@@ -136,6 +138,9 @@ fn fusion_collapses_conv_chains_and_reports_stats() {
     assert!(s.fused_conv_affine > 0, "no conv+affine fusions: {s:?}");
     assert!(s.fused_conv_relu > 0, "no conv+relu fusions: {s:?}");
     assert!(s.folded_bn == 0, "fold_bn off by default: {s:?}");
+    // The paper's architecture reshapes between its conv trunk and the
+    // ViT; every such reshape elides into an alias.
+    assert!(s.copies_elided > 0, "no reshapes elided: {s:?}");
     assert!(s.arena_bytes > 0 && s.weight_bytes > 0);
     assert_eq!(rec.plan.input_shape(), &[2, 6, 16, 16]);
     assert_eq!(rec.plan.output_shape(), &[2, 8, 16, 16]);
@@ -192,4 +197,49 @@ fn capture_rejects_training_only_tapes() {
     let loss = g.mean(y);
     let err = Plan::capture(&g, mark, x, loss, PlanOptions::default()).unwrap_err();
     assert!(err.contains("training-only"), "unexpected error: {err}");
+}
+
+/// Regression: a reshape whose *source* is read again after the alias is
+/// created. Eliding `b = reshape(a)` makes `b` an alias of `a`'s span; if
+/// liveness were computed per-value instead of per-alias-class, `a`'s span
+/// could be freed and recycled while `b` still needs it, or the later
+/// `scale(a)` read could observe a clobbered span.
+#[test]
+fn copy_elision_is_safe_when_source_is_read_after_the_alias() {
+    let mut g = Graph::new();
+    g.set_grad_enabled(false);
+    let mark = g.mark();
+    let x = g.constant(input_for(1, 4)); // [1, 6, 4, 4], 96 elements
+    let a = g.relu(x);
+    let b = g.reshape(a, vec![1, 96]); // alias candidate for a's span
+    let c = g.scale(a, 2.0); // reads a AFTER b aliased it
+    let b2 = g.reshape(b, vec![1, 6, 4, 4]); // alias chain through b
+    let y = g.add(b2, c);
+    let tape_out = g.value(y).data().to_vec();
+
+    let plan = Plan::capture(&g, mark, x, y, PlanOptions::default()).expect("capture");
+    let s = plan.stats();
+    assert!(s.copies_elided >= 2, "reshapes not elided: {s:?}");
+    let mut arena = Vec::new();
+    let got = run_plan(&plan, &mut arena, g.value(x).data());
+    assert_bitwise(Arch::Ours, 1, 4, &tape_out, got);
+}
+
+/// A reshape that *is* the plan output and roots at the input must keep
+/// its Copy: the executor hands out an arena slice, so the output has to
+/// live in the arena even when the data is just the input reinterpreted.
+#[test]
+fn output_reshape_of_the_input_keeps_its_copy() {
+    let mut g = Graph::new();
+    g.set_grad_enabled(false);
+    let mark = g.mark();
+    let x = g.constant(input_for(1, 4));
+    let y = g.reshape(x, vec![96]);
+    let tape_out = g.value(y).data().to_vec();
+
+    let plan = Plan::capture(&g, mark, x, y, PlanOptions::default()).expect("capture");
+    assert_eq!(plan.stats().copies_elided, 0, "{:?}", plan.stats());
+    let mut arena = Vec::new();
+    let got = run_plan(&plan, &mut arena, g.value(x).data());
+    assert_bitwise(Arch::Ours, 1, 4, &tape_out, got);
 }

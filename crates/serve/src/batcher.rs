@@ -425,19 +425,10 @@ impl ModelSlot {
             // plan otherwise. Precision is republished because it can
             // flip from "f32" the moment the first quant plan compiles
             // (or back, if a quant build fails and the slot falls back).
-            let (ops, arena, levels, elided) =
-                model
-                    .predictor
-                    .active_plan_stats()
-                    .map_or((0, 0, 0, 0), |s| {
-                        (
-                            s.ops as u64,
-                            s.arena_bytes as u64,
-                            s.levels as u64,
-                            s.copies_elided as u64,
-                        )
-                    });
-            self.metrics.set_plan_stats(ops, arena, levels, elided);
+            let (ops, arena, elided) = model.predictor.active_plan_stats().map_or((0, 0, 0), |s| {
+                (s.ops as u64, s.arena_bytes as u64, s.copies_elided as u64)
+            });
+            self.metrics.set_plan_stats(ops, arena, elided);
             self.metrics
                 .set_precision(model.predictor.precision().name());
         }

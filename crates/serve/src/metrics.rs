@@ -41,7 +41,6 @@ struct SlotStats {
     precision_name: String,
     plan_ops: u64,
     plan_arena_bytes: u64,
-    plan_levels: u64,
     plan_copies_elided: u64,
 }
 
@@ -62,7 +61,6 @@ struct Inner {
     precision_name: String,
     plan_ops: u64,
     plan_arena_bytes: u64,
-    plan_levels: u64,
     plan_copies_elided: u64,
     slots: BTreeMap<String, SlotStats>,
     plan_cache: Option<PlanCacheStats>,
@@ -150,19 +148,18 @@ impl Metrics {
     }
 
     /// Publishes the numeric precision forwards run at (`"f32"` /
-    /// `"int8"` / `"f16"`).
+    /// `"int8"`).
     pub fn set_precision(&self, name: &str) {
         self.lock().precision_name = name.to_owned();
     }
 
-    /// Publishes the compiled-plan gauges (op count, arena bytes, scheduler
-    /// level count and elided-copy count of the peak-memory plan). Zeroed
-    /// while no plan is compiled.
-    pub fn set_plan_stats(&self, ops: u64, arena_bytes: u64, levels: u64, copies_elided: u64) {
+    /// Publishes the compiled-plan gauges (op count, arena bytes and
+    /// elided-copy count of the peak-memory plan). Zeroed while no plan is
+    /// compiled.
+    pub fn set_plan_stats(&self, ops: u64, arena_bytes: u64, copies_elided: u64) {
         let mut m = self.lock();
         m.plan_ops = ops;
         m.plan_arena_bytes = arena_bytes;
-        m.plan_levels = levels;
         m.plan_copies_elided = copies_elided;
     }
 
@@ -298,8 +295,6 @@ impl Metrics {
             "mfaplace_infer_plan_arena_bytes {}\n",
             m.plan_arena_bytes
         ));
-        out.push_str("# TYPE mfaplace_infer_plan_levels gauge\n");
-        out.push_str(&format!("mfaplace_infer_plan_levels {}\n", m.plan_levels));
         out.push_str("# TYPE mfaplace_infer_plan_copies_elided gauge\n");
         out.push_str(&format!(
             "mfaplace_infer_plan_copies_elided {}\n",
@@ -355,10 +350,6 @@ impl Metrics {
             out.push_str(&format!(
                 "mfaplace_slot_plan_arena_bytes{{slot=\"{name}\"}} {}\n",
                 s.plan_arena_bytes
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_plan_levels{{slot=\"{name}\"}} {}\n",
-                s.plan_levels
             ));
             out.push_str(&format!(
                 "mfaplace_slot_plan_copies_elided{{slot=\"{name}\"}} {}\n",
@@ -505,15 +496,13 @@ impl SlotMetrics {
 
     /// Publishes this slot's compiled-plan gauges (aggregate copy is
     /// last-writer-wins across slots).
-    pub fn set_plan_stats(&self, ops: u64, arena_bytes: u64, levels: u64, copies_elided: u64) {
+    pub fn set_plan_stats(&self, ops: u64, arena_bytes: u64, copies_elided: u64) {
         self.with_slot(|s, m| {
             s.plan_ops = ops;
             s.plan_arena_bytes = arena_bytes;
-            s.plan_levels = levels;
             s.plan_copies_elided = copies_elided;
             m.plan_ops = ops;
             m.plan_arena_bytes = arena_bytes;
-            m.plan_levels = levels;
             m.plan_copies_elided = copies_elided;
         });
     }
@@ -546,7 +535,7 @@ mod tests {
         m.record_deadline_miss();
         m.set_model("Ours", 2);
         m.set_engine("plan");
-        m.set_plan_stats(42, 1024, 9, 3);
+        m.set_plan_stats(42, 1024, 3);
 
         let text = m.render();
         assert!(
@@ -590,7 +579,6 @@ mod tests {
             text.contains("mfaplace_infer_plan_arena_bytes 1024"),
             "{text}"
         );
-        assert!(text.contains("mfaplace_infer_plan_levels 9"), "{text}");
         assert!(
             text.contains("mfaplace_infer_plan_copies_elided 3"),
             "{text}"
@@ -609,7 +597,7 @@ mod tests {
         b.set_queue_depth(5);
         a.record_queue_rejection();
         b.record_deadline_miss();
-        a.set_plan_stats(7, 4096, 5, 2);
+        a.set_plan_stats(7, 4096, 2);
         a.record_request(200);
         a.record_request(200);
         m.record_slot_request("beta", 504);
@@ -655,10 +643,6 @@ mod tests {
         );
         assert!(
             text.contains("mfaplace_slot_plan_arena_bytes{slot=\"alpha\"} 4096"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mfaplace_slot_plan_levels{slot=\"alpha\"} 5"),
             "{text}"
         );
         assert!(
