@@ -100,10 +100,13 @@ MFAPLACE_ENGINE=quant cargo test -q --workspace --offline
 echo "==> quantized-plan tolerance suite (level-map contract)"
 cargo test -q -p mfaplace-infer --offline --test quant_tolerance
 
-# The workspace test pass above already ran this; the explicit invocation
-# keeps the equivalence contract visible in the full gate's log.
-echo "==> compiled-plan equivalence suite (plan vs tape, bitwise)"
+# The workspace test pass above already ran these; the explicit invocation
+# keeps the equivalence and allocation contracts visible in the full
+# gate's log. plan_alloc runs with the scope timers at their default (on),
+# as users get them.
+echo "==> compiled-plan equivalence suite (plan vs tape, bitwise; zero-alloc forward)"
 cargo test -q -p mfaplace-infer --offline --test plan_equivalence
+env -u MFAPLACE_TIMERS cargo test -q -p mfaplace-infer --offline --test plan_alloc
 
 echo "==> 2-worker training smoke (CLI train path)"
 TMP=$(mktemp -d)

@@ -1,5 +1,6 @@
+use mfaplace_tensor::lowlevel::{self, Conv2dShape};
 use mfaplace_tensor::{
-    attention_fm_backward, attention_fm_into, attention_tm_backward, attention_tm_into, numel,
+    attention_fm_backward, attention_fm_slices, attention_tm_backward, attention_tm_slices, numel,
     Tensor,
 };
 
@@ -434,16 +435,27 @@ impl Graph {
     /// `q`, `k`, `v` alias the same node (gradient contributions accumulate
     /// in the composed order: v, then k, then q).
     pub fn attention(&mut self, q: Var, k: Var, v: Var, scale: f32) -> Var {
-        let (b, lq) = (self.value(q).shape()[0], self.value(q).shape()[1]);
-        let dv = self.value(v).shape()[2];
-        // Zero-filled: the fused kernel accumulates output rows in place.
-        let mut out = self.pool.take(b * lq * dv);
-        attention_tm_into(
-            &self.nodes[q.0].value,
-            &self.nodes[k.0].value,
-            &self.nodes[v.0].value,
+        let &[b, lq, d] = self.value(q).shape() else {
+            panic!("attention q must be [B,Lq,D]");
+        };
+        let (lk, dv) = (self.value(k).shape()[1], self.value(v).shape()[2]);
+        let mut out = self.pool.take_any(b * lq * dv);
+        // A plain Vec, not a pool buffer: a small pooled buffer outlives
+        // the forward and keeps freed heap memory from being returned,
+        // which measurably raised the serve process's peak RSS.
+        let mut scores = vec![0.0f32; lk];
+        attention_tm_slices(
+            self.value(q).data(),
+            self.value(k).data(),
+            self.value(v).data(),
+            b,
+            lq,
+            lk,
+            d,
+            dv,
             scale,
             &mut out,
+            &mut scores,
         );
         let val = Tensor::from_vec(vec![b, lq, dv], out).expect("attention out");
         let rg = self.rg(q) || self.rg(k) || self.rg(v);
@@ -468,15 +480,23 @@ impl Graph {
     /// bitwise identical to the composed PAM chain
     /// `bmm(kᵀ, q) → permute → softmax_last → permute → bmm(v, ·)`.
     pub fn attention_fm(&mut self, q: Var, k: Var, v: Var, scale: f32) -> Var {
-        let (b, l) = (self.value(q).shape()[0], self.value(q).shape()[2]);
+        let &[b, n, l] = self.value(q).shape() else {
+            panic!("attention_fm q must be [B,D,L]");
+        };
         let nv = self.value(v).shape()[1];
         let mut out = self.pool.take_any(b * nv * l);
-        attention_fm_into(
-            &self.nodes[q.0].value,
-            &self.nodes[k.0].value,
-            &self.nodes[v.0].value,
+        let mut scores = vec![0.0f32; l]; // not pooled: see `attention`
+        attention_fm_slices(
+            self.value(q).data(),
+            self.value(k).data(),
+            self.value(v).data(),
+            b,
+            n,
+            nv,
+            l,
             scale,
             &mut out,
+            &mut scores,
         );
         let val = Tensor::from_vec(vec![b, nv, l], out).expect("attention_fm out");
         let rg = self.rg(q) || self.rg(k) || self.rg(v);
@@ -495,39 +515,29 @@ impl Graph {
 
     /// 2-D convolution of `x: [B,C,H,W]` with `w: [OC,C,KH,KW]`.
     pub fn conv2d(&mut self, x: Var, w: Var, stride: usize, pad: usize) -> Var {
-        let (kh, kw) = {
-            let ws = self.value(w).shape();
-            assert_eq!(ws.len(), 4, "conv2d weight must be [OC,C,KH,KW]");
-            (ws[2], ws[3])
-        };
-        let (b, c, h, wd) = self.value(x).dims4();
-        let (oh, ow) = mfaplace_tensor_conv_out(h, wd, kh, kw, stride, pad);
-        let ohow = oh * ow;
-        let oc = self.value(w).shape()[0];
-        let ckk = self.value(w).numel() / oc;
-        // im2col relies on zero-initialized padding cells, so the lowering
-        // buffer comes from the zeroing pool entry point.
-        let mut cols_buf = self.pool.take(c * kh * kw * b * ohow);
-        self.nodes[x.0]
-            .value
-            .im2col_into(kh, kw, stride, pad, &mut cols_buf);
-        let cols =
-            Tensor::from_vec(vec![c * kh * kw, b * ohow], cols_buf).expect("conv2d cols shape");
-        let wm = self
-            .value(w)
-            .reshape(vec![oc, ckk])
-            .expect("conv2d weight reshape");
-        let mut y_mat = self.pool.take_any(oc * b * ohow);
-        wm.matmul2d_into(&cols, &mut y_mat); // [OC, B*OH*OW]
-                                             // reorder [OC, B, OH*OW] -> [B, OC, OH*OW]
-        let mut out = self.pool.take_any(oc * b * ohow);
-        for ocx in 0..oc {
-            for bi in 0..b {
-                let src = &y_mat[(ocx * b + bi) * ohow..(ocx * b + bi + 1) * ohow];
-                out[(bi * oc + ocx) * ohow..(bi * oc + ocx + 1) * ohow].copy_from_slice(src);
-            }
-        }
+        let shape = Conv2dShape::of(self.value(x).shape(), self.value(w).shape(), stride, pad)
+            .expect("conv2d needs x: [B,C,H,W] and w: [OC,C,KH,KW]");
+        let (oh, ow) = shape.out_hw();
+        let Conv2dShape {
+            b, c, oc, kh, kw, ..
+        } = shape;
+        let mut cols_buf = self.pool.take_any(shape.cols_len());
+        let mut y_mat = self.pool.take_any(shape.out_len());
+        let mut out = self.pool.take_any(shape.out_len());
+        lowlevel::conv2d_into(
+            self.value(x).data(),
+            self.value(w).data(),
+            shape,
+            None,
+            None,
+            false,
+            &mut cols_buf,
+            &mut y_mat,
+            &mut out,
+        );
         self.pool.give(y_mat);
+        let cols =
+            Tensor::from_vec(vec![c * kh * kw, b * oh * ow], cols_buf).expect("conv2d cols shape");
         let v = Tensor::from_vec(vec![b, oc, oh, ow], out).expect("conv2d output");
         let rg = (self.rg(x) || self.rg(w)) && self.grad_enabled;
         // The lowering is backward-only state: on the inference path it is
@@ -556,15 +566,8 @@ impl Graph {
         let (bs, c, h, w) = self.value(x).dims4();
         assert_eq!(self.value(b).shape(), &[c], "bias shape mismatch");
         let mut out = self.pool.take_any(self.value(x).numel());
-        out.copy_from_slice(self.value(x).data());
-        let bias = self.value(b).data().to_vec();
-        for bi in 0..bs {
-            for ci in 0..c {
-                for o in &mut out[(bi * c + ci) * h * w..(bi * c + ci + 1) * h * w] {
-                    *o += bias[ci];
-                }
-            }
-        }
+        let (xd, bd) = (self.value(x).data(), self.value(b).data());
+        lowlevel::add_bias_channel_into(xd, bd, bs, c, h * w, &mut out);
         let v = Tensor::from_vec(vec![bs, c, h, w], out).expect("bias output");
         let rg = self.rg(x) || self.rg(b);
         self.push(v, Op::AddBiasChannel(x, b), rg)
@@ -574,14 +577,8 @@ impl Graph {
     pub fn add_bias_row(&mut self, x: Var, b: Var) -> Var {
         let d = *self.value(x).shape().last().expect("rank >= 1");
         assert_eq!(self.value(b).shape(), &[d], "row bias shape mismatch");
-        let bias = self.value(b).data().to_vec();
         let mut out = self.pool.take_any(self.value(x).numel());
-        out.copy_from_slice(self.value(x).data());
-        for row in out.chunks_mut(d) {
-            for (o, &bv) in row.iter_mut().zip(&bias) {
-                *o += bv;
-            }
-        }
+        lowlevel::add_bias_row_into(self.value(x).data(), self.value(b).data(), &mut out);
         let v = Tensor::from_vec(self.value(x).shape().to_vec(), out).expect("row bias output");
         let rg = self.rg(x) || self.rg(b);
         self.push(v, Op::AddBiasRow(x, b), rg)
@@ -691,18 +688,9 @@ impl Graph {
     /// of batch normalization with running statistics folded in.
     pub fn channel_affine(&mut self, x: Var, scale: Vec<f32>, shift: Vec<f32>) -> Var {
         let (b, c, h, w) = self.value(x).dims4();
-        assert_eq!(scale.len(), c, "channel_affine scale length");
-        assert_eq!(shift.len(), c, "channel_affine shift length");
-        let src = self.nodes[x.0].value.data();
-        let mut out = self.pool.take_any(src.len());
-        for bi in 0..b {
-            for ci in 0..c {
-                let base = (bi * c + ci) * h * w;
-                for k in 0..h * w {
-                    out[base + k] = scale[ci] * src[base + k] + shift[ci];
-                }
-            }
-        }
+        let mut out = self.pool.take_any(self.value(x).numel());
+        let xd = self.value(x).data();
+        lowlevel::channel_affine_into(xd, &scale, &shift, b, c, h * w, &mut out);
         let v = Tensor::from_vec(vec![b, c, h, w], out).expect("affine out");
         let rg = self.rg(x);
         self.push(v, Op::ChannelAffine { x, scale, shift }, rg)
@@ -1158,20 +1146,6 @@ fn gelu_bwd(x: f32) -> f32 {
     let t = u.tanh();
     let du = C * (1.0 + 3.0 * 0.044_715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-}
-
-fn mfaplace_tensor_conv_out(
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-) -> (usize, usize) {
-    (
-        (h + 2 * pad - kh) / stride + 1,
-        (w + 2 * pad - kw) / stride + 1,
-    )
 }
 
 #[allow(clippy::too_many_lines)]

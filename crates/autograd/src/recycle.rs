@@ -7,10 +7,11 @@
 //! allocations become free-list pops.
 //!
 //! Recycling is bitwise-invisible: buffers handed out via [`BufferPool::take`]
-//! are zero-filled (several kernels — im2col padding, accumulating
-//! attention output — rely on zeroed storage exactly as a fresh
-//! `vec![0.0; n]` would provide), and [`BufferPool::take_any`] is reserved
-//! for fills that overwrite every element.
+//! are zero-filled exactly as a fresh `vec![0.0; n]` would be, and
+//! [`BufferPool::take_any`] is reserved for fills that overwrite every
+//! element — which every tape forward kernel does (the shared
+//! `mfaplace_tensor::lowlevel` kernels clear their own outputs and
+//! scratch where they accumulate).
 
 use std::collections::HashMap;
 

@@ -3,20 +3,23 @@
 //!
 //! # Bitwise contract
 //!
-//! Every op either calls the *same* kernel code the tape forward calls
-//! (GEMM family, fused attention, im2col — via `mfaplace_tensor::lowlevel`
-//! and the `*_slices` attention entry points) or replicates the tape's
-//! per-element arithmetic expression exactly (activations, normalization,
-//! bias adds — pure per-element ops are bitwise-safe under any loop
-//! partitioning as long as the arithmetic sequence per element is
-//! identical). The equivalence suite asserts bit equality against the tape
-//! for every zoo architecture.
+//! Every op except the pure elementwise ones is one call into the kernel
+//! the tape forward calls: `mfaplace_tensor::lowlevel` (conv, GEMM family,
+//! per-channel ops, softmax, data movement), `layer_norm_rows` and the
+//! `attention_*_slices` entry points. Plan and tape therefore run the same
+//! function, with the same parallel dispatch. The elementwise arms (`Add`,
+//! `Sub`, `Mul`, `Neg`, `Scale`, `Relu`, `LeakyRelu`, `Sigmoid`, `Gelu`,
+//! `MulScalarVar`, `Copy`) are written inline as the same one expression
+//! per element the tape applies. The equivalence suite asserts bit
+//! equality against the tape for every zoo architecture.
 //!
 //! # Allocation contract
 //!
-//! `run_batch` performs no heap allocation: outputs and op-local scratch
-//! (conv lowering buffers, attention score rows) live at plan-assigned
-//! arena offsets. The one documented exception matches the tape path:
+//! `run_batch` performs no heap allocation once warm: outputs and op-local
+//! scratch (conv lowering buffers, attention score rows) live at
+//! plan-assigned arena offsets, and the per-forward counter allocates its
+//! key only on first use. `tests/plan_alloc.rs` pins this with a counting
+//! allocator. The one documented exception matches the tape path:
 //! when an attention call is large enough to take the parallel tile path,
 //! each worker allocates its private score row (identical behaviour and
 //! threshold as the tape kernel, so tape-vs-plan comparisons stay fair).
@@ -31,11 +34,11 @@
 use std::sync::Arc;
 
 use mfaplace_autograd::gelu_fwd;
-use mfaplace_tensor::{layer_norm_rows, lowlevel, softmax_row};
+use mfaplace_tensor::{attention_fm_slices, attention_tm_slices, layer_norm_rows, lowlevel};
 
 #[cfg(debug_assertions)]
 use crate::plan::for_each_operand;
-use crate::plan::{ArenaRange, BmmKind, IrOp, Loc, Plan, Step, ValId};
+use crate::plan::{ArenaRange, IrOp, Loc, Plan, Step, ValId, MAX_PERMUTE_RANK};
 
 /// Owns the mutable state (activation arena) needed to run a [`Plan`].
 ///
@@ -130,34 +133,35 @@ unsafe fn span_mut<'a>(base: *mut f32, r: ArenaRange) -> &'a mut [f32] {
 }
 
 /// Debug re-check of the allocator invariant: the op's output and scratch
-/// spans overlap neither each other nor any operand span.
+/// spans overlap neither each other nor any operand span. Allocation-free
+/// (a fixed array, not a `Vec`), so debug builds keep the forward's
+/// allocation contract too.
 #[cfg(debug_assertions)]
 fn check_disjoint(plan: &Plan, step: &Step) {
-    let mut writes: Vec<(usize, usize)> = Vec::new();
-    if let Loc::Arena { off, len } = plan.values[step.out].loc {
-        writes.push((off, len));
-    }
-    match &step.op {
-        IrOp::Conv2d { cols, ymat, .. } => {
-            writes.push((cols.off, cols.len));
-            writes.push((ymat.off, ymat.len));
-        }
+    let out = match plan.values[step.out].loc {
+        Loc::Arena { off, len } => Some(ArenaRange { off, len }),
+        _ => None,
+    };
+    let (s1, s2) = match &step.op {
+        IrOp::Conv2d { cols, ymat, .. } => (Some(*cols), Some(*ymat)),
         IrOp::AttentionTm { scratch, .. } | IrOp::AttentionFm { scratch, .. } => {
-            writes.push((scratch.off, scratch.len));
+            (Some(*scratch), None)
         }
-        _ => {}
-    }
-    let overlap = |a: (usize, usize), b: (usize, usize)| a.0 < b.0 + b.1 && b.0 < a.0 + a.1;
-    for (i, &wa) in writes.iter().enumerate() {
-        for &wb in &writes[i + 1..] {
-            assert!(!overlap(wa, wb), "write spans overlap in step {step:?}");
+        _ => (None, None),
+    };
+    let writes = [out, s1, s2];
+    let overlap = |a: ArenaRange, b: ArenaRange| a.off < b.off + b.len && b.off < a.off + a.len;
+    for (i, wa) in writes.iter().enumerate() {
+        let Some(wa) = wa else { continue };
+        for wb in writes[i + 1..].iter().flatten() {
+            assert!(!overlap(*wa, *wb), "write spans overlap in step {step:?}");
         }
     }
     for_each_operand(&step.op, &mut |v| {
         if let Loc::Arena { off, len } = plan.values[v].loc {
-            for &w in &writes {
+            for w in writes.iter().flatten() {
                 assert!(
-                    !overlap(w, (off, len)),
+                    !overlap(*w, ArenaRange { off, len }),
                     "operand span overlaps a write span in step {step:?}"
                 );
             }
@@ -241,11 +245,10 @@ fn exec_step(plan: &Plan, input: &[f32], base: *mut f32, step: &Step) {
 
 /// Executes one op's f32 arithmetic against caller-resolved operand views.
 ///
-/// This is the single source of the per-op reference semantics: the f32
-/// executor calls it with arena-resident views (keeping the bitwise
-/// plan==tape contract — the arithmetic below is untouched by the
-/// factoring), and the quantized executor calls it for every op that runs
-/// on the f32 fallback path, with operands dequantized into scratch.
+/// The f32 executor calls it with arena-resident views, and the quantized
+/// executor calls it for every op that runs on the f32 fallback path, with
+/// operands dequantized into scratch. Each non-elementwise arm is a single
+/// call into the kernel the tape forward runs (see the module docs).
 pub(crate) fn exec_op<'a>(
     op: &IrOp,
     s: &impl Fn(ValId) -> &'a [f32],
@@ -259,58 +262,25 @@ pub(crate) fn exec_op<'a>(
             bias,
             affine,
             relu,
-            stride,
-            pad,
-            b,
-            c,
-            h,
-            w_in,
-            kh,
-            kw,
-            oc,
-            oh,
-            ow,
+            shape,
             ..
-        } => {
-            let xs = s(*x);
-            let ws = s(*w);
-            let cols_m = scratch.cols.expect("conv cols scratch");
-            // The arena span may hold a dead value from an earlier op;
-            // im2col relies on zeroed padding cells, so clear every run.
-            cols_m.fill(0.0);
-            lowlevel::im2col_into(xs, *b, *c, *h, *w_in, *kh, *kw, *stride, *pad, cols_m);
-            let ymat_m = scratch.ymat.expect("conv ymat scratch");
-            lowlevel::gemm_into(ws, &*cols_m, ymat_m, *oc, *c * *kh * *kw, *b * *oh * *ow);
-            let bias_s = bias.map(s);
-            let aff = affine
+        } => lowlevel::conv2d_into(
+            s(*x),
+            s(*w),
+            *shape,
+            bias.map(s),
+            affine
                 .as_ref()
-                .map(|(sc, sh)| (sc.as_slice(), sh.as_slice()));
-            lowlevel::conv_reorder_epilogue(&*ymat_m, dst, *b, *oc, *oh * *ow, bias_s, aff, *relu);
-        }
+                .map(|(sc, sh)| (sc.as_slice(), sh.as_slice())),
+            *relu,
+            scratch.cols.expect("conv cols scratch"),
+            scratch.ymat.expect("conv ymat scratch"),
+            dst,
+        ),
         IrOp::AddBiasChannel { x, bias, b, c, hw } => {
-            let xs = s(*x);
-            let bv = s(*bias);
-            for bi in 0..*b {
-                for (ci, &add) in bv.iter().enumerate().take(*c) {
-                    let base_i = (bi * c + ci) * hw;
-                    for (o, &xv) in dst[base_i..base_i + hw]
-                        .iter_mut()
-                        .zip(&xs[base_i..base_i + hw])
-                    {
-                        *o = xv + add;
-                    }
-                }
-            }
+            lowlevel::add_bias_channel_into(s(*x), s(*bias), *b, *c, *hw, dst);
         }
-        IrOp::AddBiasRow { x, bias, d } => {
-            let xs = s(*x);
-            let bv = s(*bias);
-            for (row_o, row_x) in dst.chunks_mut(*d).zip(xs.chunks(*d)) {
-                for ((o, &xv), &b) in row_o.iter_mut().zip(row_x).zip(bv) {
-                    *o = xv + b;
-                }
-            }
-        }
+        IrOp::AddBiasRow { x, bias } => lowlevel::add_bias_row_into(s(*x), s(*bias), dst),
         IrOp::Add { a, b, relu } => {
             let (av, bv) = (s(*a), s(*b));
             if *relu {
@@ -372,41 +342,16 @@ pub(crate) fn exec_op<'a>(
             b,
             c,
             hw,
-        } => {
-            let xs = s(*x);
-            for bi in 0..*b {
-                for ci in 0..*c {
-                    let base_i = (bi * c + ci) * hw;
-                    let (sc, sh) = (scale[ci], shift[ci]);
-                    for (o, &xv) in dst[base_i..base_i + hw]
-                        .iter_mut()
-                        .zip(&xs[base_i..base_i + hw])
-                    {
-                        *o = sc * xv + sh;
-                    }
-                }
-            }
-        }
+        } => lowlevel::channel_affine_into(s(*x), scale, shift, *b, *c, *hw, dst),
         IrOp::LayerNorm {
             x,
             gamma,
             beta,
             eps,
             d,
-        } => {
-            // Same dispatched kernel the tape forward calls, so tape-vs-
-            // plan stays bitwise under every kernel backend.
-            layer_norm_rows(s(*x), s(*gamma), s(*beta), *eps, *d, dst, None, None);
-        }
-        IrOp::SoftmaxLast { x, d } => {
-            dst.copy_from_slice(s(*x));
-            for row in dst.chunks_mut(*d) {
-                softmax_row(row);
-            }
-        }
-        IrOp::Matmul { a, b, m, k, n } => {
-            lowlevel::gemm_into(s(*a), s(*b), dst, *m, *k, *n);
-        }
+        } => layer_norm_rows(s(*x), s(*gamma), s(*beta), *eps, *d, dst, None, None),
+        IrOp::SoftmaxLast { x, d } => lowlevel::softmax_last_into(s(*x), *d, dst),
+        IrOp::Matmul { a, b, m, k, n } => lowlevel::gemm_into(s(*a), s(*b), dst, *m, *k, *n),
         IrOp::Bmm {
             kind,
             a,
@@ -415,14 +360,7 @@ pub(crate) fn exec_op<'a>(
             m,
             k,
             n,
-        } => {
-            let (av, bv) = (s(*a), s(*b));
-            match kind {
-                BmmKind::Nn => lowlevel::bmm_into(av, bv, dst, *bt, *m, *k, *n),
-                BmmKind::Nt => lowlevel::bmm_nt_into(av, bv, dst, *bt, *m, *k, *n),
-                BmmKind::Tn => lowlevel::bmm_tn_into(av, bv, dst, *bt, *m, *k, *n),
-            }
-        }
+        } => lowlevel::bmm_into(*kind, s(*a), s(*b), dst, *bt, *m, *k, *n),
         IrOp::AttentionTm {
             q,
             k,
@@ -434,25 +372,19 @@ pub(crate) fn exec_op<'a>(
             d,
             dv,
             ..
-        } => {
-            // The fused kernel accumulates into a zeroed output (the tape
-            // takes a zero-filled pool buffer).
-            dst.fill(0.0);
-            let sc = scratch.att.expect("attention score-row scratch");
-            mfaplace_tensor::attention_tm_slices(
-                s(*q),
-                s(*k),
-                s(*v),
-                *b,
-                *lq,
-                *lk,
-                *d,
-                *dv,
-                *scale,
-                dst,
-                sc,
-            );
-        }
+        } => attention_tm_slices(
+            s(*q),
+            s(*k),
+            s(*v),
+            *b,
+            *lq,
+            *lk,
+            *d,
+            *dv,
+            *scale,
+            dst,
+            scratch.att.expect("attention score-row scratch"),
+        ),
         IrOp::AttentionFm {
             q,
             k,
@@ -463,21 +395,18 @@ pub(crate) fn exec_op<'a>(
             nv,
             l,
             ..
-        } => {
-            let sc = scratch.att.expect("attention score-row scratch");
-            mfaplace_tensor::attention_fm_slices(
-                s(*q),
-                s(*k),
-                s(*v),
-                *b,
-                *n,
-                *nv,
-                *l,
-                *scale,
-                dst,
-                sc,
-            );
-        }
+        } => attention_fm_slices(
+            s(*q),
+            s(*k),
+            s(*v),
+            *b,
+            *n,
+            *nv,
+            *l,
+            *scale,
+            dst,
+            scratch.att.expect("attention score-row scratch"),
+        ),
         IrOp::Copy { x } => {
             dst.copy_from_slice(s(*x));
         }
@@ -485,27 +414,13 @@ pub(crate) fn exec_op<'a>(
             x,
             stride_axes,
             out_dims,
-        } => {
-            let xs = s(*x);
-            let rank = out_dims.len();
-            let mut idx = [0usize; 8];
-            // Same output-order walk as `Tensor::permute`, with the input
-            // strides pre-gathered per output axis at compile time.
-            for o in dst.iter_mut() {
-                let mut off = 0usize;
-                for d in 0..rank {
-                    off += idx[d] * stride_axes[d];
-                }
-                *o = xs[off];
-                for d in (0..rank).rev() {
-                    idx[d] += 1;
-                    if idx[d] < out_dims[d] {
-                        break;
-                    }
-                    idx[d] = 0;
-                }
-            }
-        }
+        } => lowlevel::permute_into(
+            s(*x),
+            stride_axes,
+            out_dims,
+            &mut [0; MAX_PERMUTE_RANK],
+            dst,
+        ),
         IrOp::ConcatChannels {
             parts,
             part_c,
@@ -513,15 +428,8 @@ pub(crate) fn exec_op<'a>(
             hw,
             total_c,
         } => {
-            for bi in 0..*b {
-                let mut c_off = 0usize;
-                for (&p, &pc) in parts.iter().zip(part_c) {
-                    let ps = s(p);
-                    dst[(bi * total_c + c_off) * hw..(bi * total_c + c_off + pc) * hw]
-                        .copy_from_slice(&ps[bi * pc * hw..(bi + 1) * pc * hw]);
-                    c_off += pc;
-                }
-            }
+            let srcs = parts.iter().zip(part_c).map(|(&p, &pc)| (s(p), pc));
+            lowlevel::concat_channels_into(srcs, *b, *hw, *total_c, dst);
         }
         IrOp::SliceChannels {
             x,
@@ -530,51 +438,12 @@ pub(crate) fn exec_op<'a>(
             b,
             c,
             hw,
-        } => {
-            let xs = s(*x);
-            let nc = c1 - c0;
-            for bi in 0..*b {
-                dst[bi * nc * hw..(bi + 1) * nc * hw]
-                    .copy_from_slice(&xs[(bi * c + c0) * hw..(bi * c + c1) * hw]);
-            }
-        }
+        } => lowlevel::slice_channels_into(s(*x), *b, *c, *hw, *c0, *c1, dst),
         IrOp::Upsample2x { x, planes, h, w } => {
-            let xs = s(*x);
-            for bc in 0..*planes {
-                let plane = &mut dst[bc * 4 * h * w..(bc + 1) * 4 * h * w];
-                for i in 0..*h {
-                    for j in 0..*w {
-                        let v = xs[bc * h * w + i * w + j];
-                        for di in 0..2 {
-                            for dj in 0..2 {
-                                plane[(i * 2 + di) * 2 * w + (j * 2 + dj)] = v;
-                            }
-                        }
-                    }
-                }
-            }
+            lowlevel::upsample2x_into(s(*x), *planes, *h, *w, dst);
         }
         IrOp::MaxPool2x2 { x, planes, h, w } => {
-            let xs = s(*x);
-            let (oh, ow) = (h / 2, w / 2);
-            for bc in 0..*planes {
-                let in_base = bc * h * w;
-                let plane = &mut dst[bc * oh * ow..(bc + 1) * oh * ow];
-                for oi in 0..oh {
-                    for oj in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for di in 0..2 {
-                            for dj in 0..2 {
-                                let v = xs[in_base + (oi * 2 + di) * w + (oj * 2 + dj)];
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                        }
-                        plane[oi * ow + oj] = best;
-                    }
-                }
-            }
+            lowlevel::maxpool2x2_into(s(*x), *planes, *h, *w, dst, None);
         }
         IrOp::MulScalarVar { x, s: sv } => {
             let scalar = s(*sv)[0];

@@ -40,7 +40,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use mfaplace_autograd::{Graph, TapeOp, Var};
-use mfaplace_tensor::{conv_out_size, strides_for, Tensor};
+use mfaplace_tensor::lowlevel::{BmmKind, Conv2dShape};
+use mfaplace_tensor::{strides_for, Tensor};
 
 /// Compile-time options for [`Plan::capture`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -82,6 +83,10 @@ pub struct PlanStats {
 
 pub(crate) type ValId = usize;
 
+/// Highest permute rank a plan captures: the executor walks a permute with
+/// a fixed-size stack index of this many axes, so it allocates nothing.
+pub(crate) const MAX_PERMUTE_RANK: usize = 8;
+
 /// Where a plan value lives at run time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Loc {
@@ -109,19 +114,13 @@ pub(crate) struct ArenaRange {
     pub len: usize,
 }
 
-/// Batched-GEMM transpose flavour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BmmKind {
-    Nn,
-    Nt,
-    Tn,
-}
-
 /// One executable plan op, with all dims resolved at compile time.
 ///
-/// Field-for-field these mirror the tape forwards in
-/// `mfaplace_autograd::Graph`; the executor replicates the recorded
-/// per-element arithmetic exactly (see `exec.rs`).
+/// Each variant carries the arguments of the kernel the matching tape
+/// forward in `mfaplace_autograd::Graph` calls. Every non-elementwise op
+/// runs that same `mfaplace_tensor` kernel (`lowlevel`, `layer_norm_rows`,
+/// `attention_*_slices`); the elementwise ops (`Add` … `Gelu`,
+/// `MulScalarVar`, `Copy`) are inline one-expression loops in `exec.rs`.
 #[derive(Clone, Debug)]
 pub(crate) enum IrOp {
     Conv2d {
@@ -133,18 +132,8 @@ pub(crate) enum IrOp {
         affine: Option<(Vec<f32>, Vec<f32>)>,
         /// Fused trailing ReLU.
         relu: bool,
-        stride: usize,
-        pad: usize,
-        b: usize,
-        c: usize,
-        h: usize,
-        w_in: usize,
-        kh: usize,
-        kw: usize,
-        oc: usize,
-        oh: usize,
-        ow: usize,
-        /// im2col lowering buffer (must be zero-filled every run).
+        shape: Conv2dShape,
+        /// im2col lowering buffer.
         cols: ArenaRange,
         /// `[OC, B*OH*OW]` GEMM result before the batch-major reorder.
         ymat: ArenaRange,
@@ -159,7 +148,6 @@ pub(crate) enum IrOp {
     AddBiasRow {
         x: ValId,
         bias: ValId,
-        d: usize,
     },
     Add {
         a: ValId,
@@ -715,30 +703,16 @@ fn lower_op(
         }
         TapeOp::Conv2d { x, w, stride, pad } => {
             let (x, w) = (cx.resolve(*x)?, cx.resolve(*w)?);
-            let (b, c, h, w_in) = cx.dims4(x)?;
-            let ws = cx.shape(w);
-            if ws.len() != 4 {
-                return Err(format!("node {index}: conv weight must be rank-4"));
-            }
-            let (oc, kh, kw) = (ws[0], ws[2], ws[3]);
-            let (oh, ow) = conv_out_size(h, w_in, kh, kw, *stride, *pad);
+            let Some(shape) = Conv2dShape::of(cx.shape(x), cx.shape(w), *stride, *pad) else {
+                return Err(format!("node {index}: conv operands must be rank-4"));
+            };
             IrOp::Conv2d {
                 x,
                 w,
                 bias: None,
                 affine: None,
                 relu: false,
-                stride: *stride,
-                pad: *pad,
-                b,
-                c,
-                h,
-                w_in,
-                kh,
-                kw,
-                oc,
-                oh,
-                ow,
+                shape,
                 cols: ArenaRange::default(),
                 ymat: ArenaRange::default(),
             }
@@ -754,11 +728,10 @@ fn lower_op(
                 hw: h * w,
             }
         }
-        TapeOp::AddBiasRow(x, bias) => {
-            let (x, bias) = (cx.resolve(*x)?, cx.resolve(*bias)?);
-            let d = *cx.shape(x).last().expect("rank >= 1");
-            IrOp::AddBiasRow { x, bias, d }
-        }
+        TapeOp::AddBiasRow(x, bias) => IrOp::AddBiasRow {
+            x: cx.resolve(*x)?,
+            bias: cx.resolve(*bias)?,
+        },
         TapeOp::Relu(x) => IrOp::Relu { x: cx.resolve(*x)? },
         TapeOp::LeakyRelu(x, slope) => IrOp::LeakyRelu {
             x: cx.resolve(*x)?,
@@ -803,8 +776,10 @@ fn lower_op(
         TapeOp::Permute { x, axes } => {
             let x = cx.resolve(*x)?;
             let in_strides = strides_for(cx.shape(x));
-            if axes.len() > 8 {
-                return Err(format!("node {index}: permute rank > 8 unsupported"));
+            if axes.len() > MAX_PERMUTE_RANK {
+                return Err(format!(
+                    "node {index}: permute rank > {MAX_PERMUTE_RANK} unsupported"
+                ));
             }
             IrOp::Permute {
                 x,
@@ -1039,7 +1014,7 @@ fn fold_bn(
             w,
             bias,
             affine,
-            oc,
+            shape,
             ..
         } = &mut step.op
         else {
@@ -1059,10 +1034,11 @@ fn fold_bn(
             None => None,
         };
         let (scale, shift) = affine.take().expect("checked above");
+        let oc = shape.oc;
         let wt = &weights[widx];
         let mut wd: Vec<f32> = wt.data().to_vec();
-        let per_oc = wd.len() / *oc;
-        for o in 0..*oc {
+        let per_oc = wd.len() / oc;
+        for o in 0..oc {
             let s = f64::from(scale[o]);
             for v in &mut wd[o * per_oc..(o + 1) * per_oc] {
                 *v = (s * f64::from(*v)) as f32;
@@ -1071,13 +1047,13 @@ fn fold_bn(
         let new_w = Tensor::from_vec(wt.shape().to_vec(), wd).expect("folded conv weight");
         *w = push_weight(values, weights, Arc::new(new_w));
         let new_bias: Vec<f32> = match &bias_data {
-            Some(bd) => (0..*oc)
+            Some(bd) => (0..oc)
                 .map(|o| (f64::from(scale[o]) * f64::from(bd[o]) + f64::from(shift[o])) as f32)
                 .collect(),
             // No pre-existing bias: the folded bias is the shift exactly.
             None => shift.clone(),
         };
-        let new_bias = Tensor::from_vec(vec![*oc], new_bias).expect("folded conv bias");
+        let new_bias = Tensor::from_vec(vec![oc], new_bias).expect("folded conv bias");
         *bias = Some(push_weight(values, weights, Arc::new(new_bias)));
         stats.folded_bn += 1;
     }
@@ -1242,19 +1218,9 @@ fn assign_arena(
         let mut scratch: Vec<ArenaRange> = Vec::new();
         match &mut step.op {
             IrOp::Conv2d {
-                cols,
-                ymat,
-                b,
-                c,
-                kh,
-                kw,
-                oc,
-                oh,
-                ow,
-                ..
+                cols, ymat, shape, ..
             } => {
-                let cl = *c * *kh * *kw * *b * *oh * *ow;
-                let yl = *oc * *b * *oh * *ow;
+                let (cl, yl) = (shape.cols_len(), shape.out_len());
                 *cols = ArenaRange {
                     off: fl.alloc(cl),
                     len: cl,

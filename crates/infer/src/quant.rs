@@ -45,7 +45,7 @@
 use std::sync::Arc;
 
 use mfaplace_tensor::half::{f16_bits_to_f32, f32_to_f16_bits};
-use mfaplace_tensor::simd;
+use mfaplace_tensor::{lowlevel, simd};
 
 use crate::exec::{exec_op, run_plan_observed, OpScratch};
 use crate::plan::{
@@ -560,16 +560,8 @@ fn conv_trunk(op: &IrOp) -> bool {
 /// too long for exact i32, or a non-finite range somewhere).
 fn compile_i8_step(base: &Plan, val_absmax: &[Option<f32>], step: &Step) -> Option<StepPlan> {
     match &step.op {
-        IrOp::Conv2d {
-            x,
-            w,
-            c,
-            kh,
-            kw,
-            oc,
-            ..
-        } => {
-            let k = c * kh * kw;
+        IrOp::Conv2d { x, w, shape, .. } => {
+            let (k, oc) = (shape.c * shape.kh * shape.kw, shape.oc);
             if k == 0 || k > simd::I8_GEMM_MAX_K {
                 return None;
             }
@@ -582,8 +574,8 @@ fn compile_i8_step(base: &Plan, val_absmax: &[Option<f32>], step: &Step) -> Opti
             }
             let wd = base.weights[wi].data();
             let mut qw = vec![0i8; oc * k];
-            let mut wscale = vec![1.0f32; *oc];
-            for row in 0..*oc {
+            let mut wscale = vec![1.0f32; oc];
+            for row in 0..oc {
                 let src = &wd[row * k..(row + 1) * k];
                 let am = fold_absmax(0.0, src);
                 if !am.is_finite() {
@@ -650,28 +642,15 @@ fn align8(bytes: usize) -> usize {
 fn step_scratch_bytes(base: &Plan, store: &[Store], q: &StepPlan, step: &Step) -> usize {
     match q {
         StepPlan::ConvI8 { .. } => {
-            let IrOp::Conv2d {
-                x,
-                b,
-                c,
-                kh,
-                kw,
-                oc,
-                oh,
-                ow,
-                ..
-            } = &step.op
-            else {
+            let IrOp::Conv2d { x, shape, .. } = &step.op else {
                 unreachable!("ConvI8 compiles only from Conv2d");
             };
-            let ncols = b * oh * ow;
-            let k = c * kh * kw;
             let mut s = 0usize;
             if !matches!(store[*x], Store::I8 { .. }) {
                 s += align8(base.values[*x].numel);
             }
-            s += align8(k * ncols); // i8 im2col matrix
-            s += align8(oc * ncols * 4); // i32 GEMM result
+            s += align8(shape.cols_len()); // i8 im2col matrix
+            s += align8(shape.out_len() * 4); // i32 GEMM result
             s
         }
         StepPlan::MatmulI8 { .. } => {
@@ -992,52 +971,6 @@ unsafe fn store_into(qp: &QuantPlan, bytes: *mut u8, v: ValId, src: &[f32]) {
     }
 }
 
-/// int8 im2col: the same gather as the f32 kernel
-/// (`mfaplace_tensor::lowlevel::im2col_into`) over i8 data. `out` must
-/// be zero-filled (symmetric quantization keeps zero-padding exact:
-/// q=0 dequantizes to 0.0).
-#[allow(clippy::too_many_arguments)]
-fn im2col_i8(
-    src: &[i8],
-    b: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
-    out: &mut [i8],
-) {
-    let rows = c * kh * kw;
-    debug_assert_eq!(out.len(), rows * b * oh * ow);
-    for row in 0..rows {
-        let ci = row / (kh * kw);
-        let ki = (row / kw) % kh;
-        let kj = row % kw;
-        let out_row = &mut out[row * b * oh * ow..(row + 1) * b * oh * ow];
-        for bi in 0..b {
-            for oi in 0..oh {
-                let iy = (oi * stride + ki) as isize - pad as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let iy = iy as usize;
-                for oj in 0..ow {
-                    let ix = (oj * stride + kj) as isize - pad as isize;
-                    if ix < 0 || ix >= w as isize {
-                        continue;
-                    }
-                    out_row[bi * oh * ow + oi * ow + oj] =
-                        src[((bi * c + ci) * h + iy) * w + ix as usize];
-                }
-            }
-        }
-    }
-}
-
 fn exec_quant_step(qp: &QuantPlan, input: &[f32], bytes: *mut u8, step: &Step, q: &StepPlan) {
     match q {
         StepPlan::ConvI8 {
@@ -1050,24 +983,15 @@ fn exec_quant_step(qp: &QuantPlan, input: &[f32], bytes: *mut u8, step: &Step, q
                 bias,
                 affine,
                 relu,
-                stride,
-                pad,
-                b,
-                c,
-                h,
-                w_in,
-                kh,
-                kw,
-                oc,
-                oh,
-                ow,
+                shape,
                 ..
             } = &step.op
             else {
                 unreachable!("ConvI8 compiles only from Conv2d");
             };
-            let (b, c, oc, oh, ow) = (*b, *c, *oc, *oh, *ow);
-            let k = c * kh * kw;
+            let (b, oc) = (shape.b, shape.oc);
+            let (oh, ow) = shape.out_hw();
+            let k = shape.c * shape.kh * shape.kw;
             let ncols = b * oh * ow;
             let ohow = oh * ow;
             let mut cur = Cursor::new(bytes, qp.scratch);
@@ -1082,9 +1006,11 @@ fn exec_quant_step(qp: &QuantPlan, input: &[f32], bytes: *mut u8, step: &Step, q
                     quantize_value_into(qp, input, bytes, *x, 1.0 / x_scale, buf);
                     buf
                 };
+                // The f32 gather over i8 data: symmetric quantization keeps
+                // the zero padding exact (q=0 dequantizes to 0.0).
                 let cols: &mut [i8] = take(&mut cur, k * ncols);
-                cols.fill(0);
-                im2col_i8(qx, b, c, *h, *w_in, *kh, *kw, *stride, *pad, oh, ow, cols);
+                let s = shape;
+                lowlevel::im2col_into(qx, b, s.c, s.h, s.w, s.kh, s.kw, s.stride, s.pad, cols);
                 let ymat: &mut [i32] = take(&mut cur, oc * ncols);
                 simd::i8_gemm(qw, cols, ymat, oc, k, ncols);
                 let bias_s =

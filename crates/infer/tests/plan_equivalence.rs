@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use mfaplace_autograd::Graph;
 use mfaplace_infer::{run_plan, Plan, PlanExecutor, PlanOptions};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
+use mfaplace_rt::pool;
 use mfaplace_rt::rng::{SeedableRng, StdRng};
 use mfaplace_tensor::Tensor;
 
@@ -65,11 +66,13 @@ fn record(
 }
 
 fn build(arch: Arch, grid: usize) -> (Graph, AnyModel) {
+    build_spec(&spec_for(arch, grid))
+}
+
+fn build_spec(spec: &ArchSpec) -> (Graph, AnyModel) {
     let mut g = Graph::new();
     let mut rng = StdRng::seed_from_u64(7);
-    let model = spec_for(arch, grid)
-        .build(&mut g, &mut rng)
-        .expect("build model");
+    let model = spec.build(&mut g, &mut rng).expect("build model");
     g.set_grad_enabled(false);
     (g, model)
 }
@@ -103,6 +106,24 @@ fn plan_matches_tape_bitwise_across_zoo_batches_and_grids() {
             assert!(!cache.is_empty(), "{arch:?}: weight cache unused");
         }
     }
+    // UNet with 8 base channels at grid 32, batch 8: its max-pool input and
+    // last upsample output are exactly 65,536 elements each, the data-
+    // movement fan-out threshold, so both take the parallel branch here.
+    pool::with_threads(2, || {
+        let mut spec = spec_for(Arch::UNet, 32);
+        spec.base_channels = 8;
+        let (mut g, mut model) = build_spec(&spec);
+        let x = input_for(8, 32);
+        let rec = record(
+            &mut g,
+            &mut model,
+            &x,
+            PlanOptions::default(),
+            &mut HashMap::new(),
+        );
+        let got = PlanExecutor::new(rec.plan).run_batch(x.data()).to_vec();
+        assert_bitwise(Arch::UNet, 8, 32, &rec.tape_out, &got);
+    });
 }
 
 #[test]

@@ -51,13 +51,22 @@ fn enabled() -> bool {
         .load(Ordering::Relaxed)
 }
 
+/// `map[name]`, allocating the owned key only the first time `name` is
+/// seen, so recording at a hot call site costs no heap allocation.
+fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
 /// Records one completed invocation of `name` taking `dur`.
 pub fn record(name: &str, dur: Duration) {
     if !enabled() {
         return;
     }
     let mut timers = registry().timers.lock().expect("timer registry poisoned");
-    let stat = timers.entry(name.to_owned()).or_default();
+    let stat = slot(&mut timers, name);
     stat.calls += 1;
     stat.total += dur;
     stat.max = stat.max.max(dur);
@@ -72,7 +81,7 @@ pub fn count(name: &str, n: u64) {
         .counters
         .lock()
         .expect("counter registry poisoned");
-    *counters.entry(name.to_owned()).or_insert(0) += n;
+    *slot(&mut counters, name) += n;
 }
 
 /// Clears all recorded timings and counters.
@@ -99,15 +108,15 @@ pub fn reset() {
 /// assert!(mfaplace_rt::timer::report().contains("demo/scope"));
 /// ```
 pub struct ScopeTimer {
-    name: String,
+    name: &'static str,
     start: Instant,
 }
 
 impl ScopeTimer {
     /// Starts a timer that reports under `name` when dropped.
-    pub fn new(name: &str) -> Self {
+    pub fn new(name: &'static str) -> Self {
         ScopeTimer {
-            name: name.to_owned(),
+            name,
             start: Instant::now(),
         }
     }
@@ -115,7 +124,7 @@ impl ScopeTimer {
 
 impl Drop for ScopeTimer {
     fn drop(&mut self) {
-        record(&self.name, self.start.elapsed());
+        record(self.name, self.start.elapsed());
     }
 }
 

@@ -492,10 +492,15 @@ mod tests {
     use mfaplace_core::loader::init_checkpoint;
     use mfaplace_models::Arch;
 
+    /// A fresh path per call: the tests run concurrently, and one test
+    /// writing a checkpoint another is loading made them flaky.
     fn temp_path(name: &str) -> String {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join("mfaplace_batcher_test");
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name).to_string_lossy().into_owned()
+        let file = format!("{}_{n}_{name}", std::process::id());
+        dir.join(file).to_string_lossy().into_owned()
     }
 
     fn tiny_spec() -> ArchSpec {

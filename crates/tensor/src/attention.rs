@@ -55,38 +55,12 @@ pub const ATTN_TILE: usize = 32;
 ///
 /// Panics on rank or dimension mismatches.
 pub fn attention_tm(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
-    let (b, lq) = (q.shape()[0], q.shape()[1]);
-    let dv = v.shape()[2];
-    let mut out = vec![0.0f32; b * lq * dv];
-    attention_tm_into(q, k, v, scale, &mut out);
-    Tensor::from_vec(vec![b, lq, dv], out).expect("attention_tm shape")
-}
-
-/// [`attention_tm`] writing into a caller-provided buffer.
-///
-/// `out` **must be zero-filled**: output rows are accumulated over keys in
-/// index order (a recycled buffer from the autograd pool is handed out
-/// zeroed for exactly this reason).
-///
-/// # Panics
-///
-/// Panics on rank/dimension mismatches or if `out.len() != B*Lq*Dv`.
-pub fn attention_tm_into(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32, out: &mut [f32]) {
     assert_eq!(q.rank(), 3, "attention_tm q must be rank-3");
     assert_eq!(k.rank(), 3, "attention_tm k must be rank-3");
     assert_eq!(v.rank(), 3, "attention_tm v must be rank-3");
     let (b, lq, d) = (q.shape()[0], q.shape()[1], q.shape()[2]);
-    let (bk, lk, dk) = (k.shape()[0], k.shape()[1], k.shape()[2]);
-    let (bv, lv, dv) = (v.shape()[0], v.shape()[1], v.shape()[2]);
-    assert_eq!(b, bk, "attention_tm q/k batch mismatch");
-    assert_eq!(b, bv, "attention_tm q/v batch mismatch");
-    assert_eq!(d, dk, "attention_tm q/k feature mismatch");
-    assert_eq!(lk, lv, "attention_tm k/v length mismatch");
-    assert_eq!(
-        out.len(),
-        b * lq * dv,
-        "attention_tm output length mismatch"
-    );
+    let (lk, dv) = (k.shape()[1], v.shape()[2]);
+    let mut out = vec![0.0f32; b * lq * dv];
     let mut scratch = vec![0.0f32; lk];
     attention_tm_slices(
         q.data(),
@@ -98,16 +72,18 @@ pub fn attention_tm_into(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32, out: &m
         d,
         dv,
         scale,
-        out,
+        &mut out,
         &mut scratch,
     );
+    Tensor::from_vec(vec![b, lq, dv], out).expect("attention_tm shape")
 }
 
-/// Slice-level [`attention_tm_into`] with a caller-provided score-row
-/// scratch of at least `lk` elements (contents ignored; used by the plan
-/// executor so the serial path allocates nothing per forward). The parallel
-/// tile path still allocates one score row per tile worker, exactly like
-/// the tape path. `out` **must be zero-filled**.
+/// Slice-level [`attention_tm`] — the entry point the tape and the plan
+/// executor share — with a caller-provided score-row scratch of at least
+/// `lk` elements (contents ignored), so the serial path allocates nothing
+/// per forward. The parallel tile path allocates one score row per tile
+/// worker. `out` may hold any contents: it is cleared first, because
+/// output rows accumulate over keys in index order.
 ///
 /// # Panics
 ///
@@ -177,6 +153,7 @@ pub fn attention_tm_slices_with(
     );
     assert!(scratch.len() >= lk, "attention_tm scratch too small");
     let scratch = &mut scratch[..lk];
+    out.fill(0.0);
     for bi in 0..b {
         let qb = &qd[bi * lq * d..(bi + 1) * lq * d];
         let kb = &kd[bi * lk * d..(bi + 1) * lk * d];
@@ -614,32 +591,12 @@ fn tm_backward_vec(
 ///
 /// Panics on rank or dimension mismatches.
 pub fn attention_fm(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
-    let (b, l) = (q.shape()[0], q.shape()[2]);
-    let nv = v.shape()[1];
-    let mut out = vec![0.0f32; b * nv * l];
-    attention_fm_into(q, k, v, scale, &mut out);
-    Tensor::from_vec(vec![b, nv, l], out).expect("attention_fm shape")
-}
-
-/// [`attention_fm`] writing into a caller-provided buffer (any contents;
-/// every element is overwritten).
-///
-/// # Panics
-///
-/// Panics on rank/dimension mismatches or if `out.len() != B*Dv*L`.
-pub fn attention_fm_into(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32, out: &mut [f32]) {
     assert_eq!(q.rank(), 3, "attention_fm q must be rank-3");
     assert_eq!(k.rank(), 3, "attention_fm k must be rank-3");
     assert_eq!(v.rank(), 3, "attention_fm v must be rank-3");
     let (b, n, l) = (q.shape()[0], q.shape()[1], q.shape()[2]);
-    let (bk, nk, lk) = (k.shape()[0], k.shape()[1], k.shape()[2]);
-    let (bv, nv, lv) = (v.shape()[0], v.shape()[1], v.shape()[2]);
-    assert_eq!(b, bk, "attention_fm q/k batch mismatch");
-    assert_eq!(b, bv, "attention_fm q/v batch mismatch");
-    assert_eq!(n, nk, "attention_fm q/k feature mismatch");
-    assert_eq!(l, lk, "attention_fm q/k length mismatch");
-    assert_eq!(l, lv, "attention_fm k/v length mismatch");
-    assert_eq!(out.len(), b * nv * l, "attention_fm output length mismatch");
+    let nv = v.shape()[1];
+    let mut out = vec![0.0f32; b * nv * l];
     let mut scratch = vec![0.0f32; l];
     attention_fm_slices(
         q.data(),
@@ -650,14 +607,15 @@ pub fn attention_fm_into(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32, out: &m
         nv,
         l,
         scale,
-        out,
+        &mut out,
         &mut scratch,
     );
+    Tensor::from_vec(vec![b, nv, l], out).expect("attention_fm shape")
 }
 
-/// Slice-level [`attention_fm_into`] with a caller-provided score-row
-/// scratch of at least `l` elements (contents ignored; used by the plan
-/// executor so the forward allocates nothing). `out` may hold any contents;
+/// Slice-level [`attention_fm`] — the entry point the tape and the plan
+/// executor share — with a caller-provided score-row scratch of at least
+/// `l` elements (contents ignored), so the forward allocates nothing. `out` may hold any contents;
 /// every element is overwritten.
 ///
 /// # Panics
@@ -1148,13 +1106,26 @@ mod tests {
     }
 
     #[test]
-    fn tm_into_requires_zeroed_and_matches() {
+    fn tm_slices_overwrite_a_stale_output() {
         let q = tensor(vec![1, 4, 3], 14);
         let k = tensor(vec![1, 5, 3], 15);
         let v = tensor(vec![1, 5, 2], 16);
         let base = attention_tm(&q, &k, &v, 0.25);
-        let mut buf = vec![0.0f32; base.numel()];
-        attention_tm_into(&q, &k, &v, 0.25, &mut buf);
+        let mut buf = vec![f32::NAN; base.numel()];
+        let mut scratch = vec![f32::NAN; 5];
+        attention_tm_slices(
+            q.data(),
+            k.data(),
+            v.data(),
+            1,
+            4,
+            5,
+            3,
+            2,
+            0.25,
+            &mut buf,
+            &mut scratch,
+        );
         assert_eq!(base.data(), &buf[..]);
     }
 }

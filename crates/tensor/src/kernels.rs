@@ -1,10 +1,13 @@
 //! Compute kernels: GEMM, convolution lowering (im2col/col2im), pooling,
 //! upsampling, permutation, concatenation.
 //!
-//! All kernels are implemented as inherent methods on [`Tensor`] so they are
-//! discoverable from the type. Shape preconditions are documented per method
-//! and violations panic — these are internal hot paths where a malformed
-//! shape is a programming error, not a recoverable condition.
+//! Every kernel is reachable as an inherent method on [`Tensor`] so it is
+//! discoverable from the type. The forward kernels themselves live in
+//! [`crate::lowlevel`] (shared with the compiled plan); the methods here
+//! check shapes, allocate the output and call them. Shape preconditions are
+//! documented per method and violations panic — these are internal hot
+//! paths where a malformed shape is a programming error, not a recoverable
+//! condition.
 //!
 //! # Parallel dispatch and serial equivalence
 //!
@@ -20,13 +23,14 @@
 
 use mfaplace_rt::pool;
 
+use crate::lowlevel::{self, BmmKind};
 use crate::{strides_for, Tensor};
 
 /// Minimum multiply-add count before a GEMM fans out to the pool.
 pub(crate) const PAR_GEMM_FLOPS: usize = 1 << 19;
 /// Minimum element count before data-movement kernels (im2col, col2im,
 /// pooling, upsampling) fan out to the pool.
-const PAR_ELEMS: usize = 1 << 16;
+pub(crate) const PAR_ELEMS: usize = 1 << 16;
 
 impl Tensor {
     // ------------------------------------------------------------- matmul
@@ -54,45 +58,7 @@ impl Tensor {
     /// Panics unless both operands are rank-3 with matching batch and inner
     /// dimensions.
     pub fn bmm(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 3, "bmm lhs must be rank-3");
-        assert_eq!(other.rank(), 3, "bmm rhs must be rank-3");
-        let (b, m, k) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let (b2, k2, n) = (other.shape()[0], other.shape()[1], other.shape()[2]);
-        assert_eq!(b, b2, "bmm batch mismatch");
-        assert_eq!(k, k2, "bmm inner dimension mismatch");
-        let mut out = vec![0.0f32; b * m * n];
-        // With at least one batch per worker, fan out across batches (each
-        // inner GEMM pinned serial to avoid nested spawning); otherwise let
-        // the per-batch GEMM decide its own row-level parallelism.
-        if b >= pool::max_threads() && b * m * k * n >= PAR_GEMM_FLOPS {
-            let (a_data, b_data) = (self.data(), other.data());
-            pool::parallel_chunks_mut(&mut out, m * n, |i, chunk| {
-                pool::with_threads(1, || {
-                    gemm(
-                        &a_data[i * m * k..(i + 1) * m * k],
-                        &b_data[i * k * n..(i + 1) * k * n],
-                        chunk,
-                        m,
-                        k,
-                        n,
-                        false,
-                    );
-                });
-            });
-        } else {
-            for i in 0..b {
-                gemm(
-                    &self.data()[i * m * k..(i + 1) * m * k],
-                    &other.data()[i * k * n..(i + 1) * k * n],
-                    &mut out[i * m * n..(i + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                    false,
-                );
-            }
-        }
-        Tensor::from_vec(vec![b, m, n], out).expect("bmm shape")
+        self.bmm_kind(other, BmmKind::Nn)
     }
 
     /// [`Tensor::matmul2d`] writing into a caller-provided buffer (any
@@ -166,49 +132,13 @@ impl Tensor {
     /// trailing dimensions, or if `out.len()` mismatches in the `_into`
     /// variant.
     pub fn bmm_nt(&self, other: &Tensor) -> Tensor {
-        let (b, m, _) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let n = other.shape()[1];
-        let mut out = vec![0.0f32; b * m * n];
-        self.bmm_nt_into(other, &mut out);
-        Tensor::from_vec(vec![b, m, n], out).expect("bmm_nt shape")
+        self.bmm_kind(other, BmmKind::Nt)
     }
 
     /// [`Tensor::bmm_nt`] writing into a caller-provided buffer (any
     /// contents; every element is overwritten).
     pub fn bmm_nt_into(&self, other: &Tensor, out: &mut [f32]) {
-        assert_eq!(self.rank(), 3, "bmm_nt lhs must be rank-3");
-        assert_eq!(other.rank(), 3, "bmm_nt rhs must be rank-3");
-        let (b, m, k) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let (b2, n, k2) = (other.shape()[0], other.shape()[1], other.shape()[2]);
-        assert_eq!(b, b2, "bmm_nt batch mismatch");
-        assert_eq!(k, k2, "bmm_nt inner dimension mismatch");
-        assert_eq!(out.len(), b * m * n, "bmm_nt output length mismatch");
-        let (a_data, b_data) = (self.data(), other.data());
-        if b >= pool::max_threads() && b * m * k * n >= PAR_GEMM_FLOPS {
-            pool::parallel_chunks_mut(out, m * n, |i, chunk| {
-                pool::with_threads(1, || {
-                    gemm_nt(
-                        &a_data[i * m * k..(i + 1) * m * k],
-                        &b_data[i * n * k..(i + 1) * n * k],
-                        chunk,
-                        m,
-                        k,
-                        n,
-                    );
-                });
-            });
-        } else {
-            for i in 0..b {
-                gemm_nt(
-                    &a_data[i * m * k..(i + 1) * m * k],
-                    &b_data[i * n * k..(i + 1) * n * k],
-                    &mut out[i * m * n..(i + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
-            }
-        }
+        self.bmm_kind_into(other, BmmKind::Nt, out);
     }
 
     /// Batched `a^T x b`: `[b, k, m] x [b, k, n] -> [b, m, n]`.
@@ -222,49 +152,43 @@ impl Tensor {
     /// leading dimensions, or if `out.len()` mismatches in the `_into`
     /// variant.
     pub fn bmm_tn(&self, other: &Tensor) -> Tensor {
-        let (b, m) = (self.shape()[0], self.shape()[2]);
-        let n = other.shape()[2];
-        let mut out = vec![0.0f32; b * m * n];
-        self.bmm_tn_into(other, &mut out);
-        Tensor::from_vec(vec![b, m, n], out).expect("bmm_tn shape")
+        self.bmm_kind(other, BmmKind::Tn)
     }
 
     /// [`Tensor::bmm_tn`] writing into a caller-provided buffer (any
     /// contents; every element is overwritten).
     pub fn bmm_tn_into(&self, other: &Tensor, out: &mut [f32]) {
-        assert_eq!(self.rank(), 3, "bmm_tn lhs must be rank-3");
-        assert_eq!(other.rank(), 3, "bmm_tn rhs must be rank-3");
-        let (b, k, m) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let (b2, k2, n) = (other.shape()[0], other.shape()[1], other.shape()[2]);
-        assert_eq!(b, b2, "bmm_tn batch mismatch");
-        assert_eq!(k, k2, "bmm_tn inner dimension mismatch");
-        assert_eq!(out.len(), b * m * n, "bmm_tn output length mismatch");
-        let (a_data, b_data) = (self.data(), other.data());
-        if b >= pool::max_threads() && b * m * k * n >= PAR_GEMM_FLOPS {
-            pool::parallel_chunks_mut(out, m * n, |i, chunk| {
-                pool::with_threads(1, || {
-                    gemm_tn(
-                        &a_data[i * k * m..(i + 1) * k * m],
-                        &b_data[i * k * n..(i + 1) * k * n],
-                        chunk,
-                        m,
-                        k,
-                        n,
-                    );
-                });
-            });
-        } else {
-            for i in 0..b {
-                gemm_tn(
-                    &a_data[i * k * m..(i + 1) * k * m],
-                    &b_data[i * k * n..(i + 1) * k * n],
-                    &mut out[i * m * n..(i + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
-            }
-        }
+        self.bmm_kind_into(other, BmmKind::Tn, out);
+    }
+
+    fn bmm_kind(&self, other: &Tensor, kind: BmmKind) -> Tensor {
+        let (b, m, _, n) = self.bmm_dims(other, kind);
+        let mut out = vec![0.0f32; b * m * n];
+        self.bmm_kind_into(other, kind, &mut out);
+        Tensor::from_vec(vec![b, m, n], out).expect("bmm shape")
+    }
+
+    fn bmm_kind_into(&self, other: &Tensor, kind: BmmKind, out: &mut [f32]) {
+        let (b, m, k, n) = self.bmm_dims(other, kind);
+        lowlevel::bmm_into(kind, self.data(), other.data(), out, b, m, k, n);
+    }
+
+    /// `(batch, m, k, n)` of a batched product in the given layout.
+    fn bmm_dims(&self, other: &Tensor, kind: BmmKind) -> (usize, usize, usize, usize) {
+        assert_eq!(self.rank(), 3, "{kind:?} bmm lhs must be rank-3");
+        assert_eq!(other.rank(), 3, "{kind:?} bmm rhs must be rank-3");
+        let (sa, sb) = (self.shape(), other.shape());
+        let (m, k) = match kind {
+            BmmKind::Tn => (sa[2], sa[1]),
+            BmmKind::Nn | BmmKind::Nt => (sa[1], sa[2]),
+        };
+        let (k2, n) = match kind {
+            BmmKind::Nt => (sb[2], sb[1]),
+            BmmKind::Nn | BmmKind::Tn => (sb[1], sb[2]),
+        };
+        assert_eq!(sa[0], sb[0], "{kind:?} bmm batch mismatch");
+        assert_eq!(k, k2, "{kind:?} bmm inner dimension mismatch");
+        (sa[0], m, k, n)
     }
 
     /// Transpose of a rank-2 tensor.
@@ -309,29 +233,12 @@ impl Tensor {
             assert!(a < rank && !seen[a], "permute axes must be a permutation");
             seen[a] = true;
         }
-        let in_shape = self.shape().to_vec();
-        let out_shape: Vec<usize> = axes.iter().map(|&a| in_shape[a]).collect();
-        let in_strides = strides_for(&in_shape);
-        let out_strides = strides_for(&out_shape);
+        let in_strides = strides_for(self.shape());
+        let out_shape: Vec<usize> = axes.iter().map(|&a| self.shape()[a]).collect();
+        let stride_axes: Vec<usize> = axes.iter().map(|&a| in_strides[a]).collect();
         let mut out = vec![0.0f32; self.numel()];
-        // Walk output indices in order; compute the matching input offset.
         let mut idx = vec![0usize; rank];
-        for o in out.iter_mut() {
-            let mut src = 0usize;
-            for d in 0..rank {
-                src += idx[d] * in_strides[axes[d]];
-            }
-            *o = self.data()[src];
-            // increment multi-index
-            for d in (0..rank).rev() {
-                idx[d] += 1;
-                if idx[d] < out_shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
-        let _ = out_strides;
+        lowlevel::permute_into(self.data(), &stride_axes, &out_shape, &mut idx, &mut out);
         Tensor::from_vec(out_shape, out).expect("permute shape")
     }
 
@@ -354,11 +261,8 @@ impl Tensor {
         Tensor::from_vec(vec![rows, cols], out).expect("im2col shape")
     }
 
-    /// [`Tensor::im2col`] writing into a caller-provided buffer.
-    ///
-    /// `out` **must be zero-filled**: padding positions are never written,
-    /// they rely on the zero initialization (a recycled buffer from the
-    /// autograd pool is handed out zeroed for exactly this reason).
+    /// [`Tensor::im2col`] writing into a caller-provided buffer (any
+    /// contents; it is cleared first).
     ///
     /// # Panics
     ///
@@ -366,7 +270,7 @@ impl Tensor {
     /// `C*kh*kw * B*oh*ow` elements.
     pub fn im2col_into(&self, kh: usize, kw: usize, stride: usize, pad: usize, out: &mut [f32]) {
         let (b, c, h, w) = self.dims4();
-        im2col_slices(self.data(), b, c, h, w, kh, kw, stride, pad, out);
+        lowlevel::im2col_into(self.data(), b, c, h, w, kh, kw, stride, pad, out);
     }
 
     /// Inverse of [`Tensor::im2col`]: scatters a `[C*kh*kw, B*oh*ow]` matrix
@@ -443,46 +347,11 @@ impl Tensor {
     /// Panics unless rank-4 with even spatial dimensions.
     pub fn maxpool2x2(&self) -> (Tensor, Vec<usize>) {
         let (b, c, h, w) = self.dims4();
-        assert!(h % 2 == 0 && w % 2 == 0, "maxpool2x2 needs even H, W");
-        let (oh, ow) = (h / 2, w / 2);
-        let mut out = vec![0.0f32; b * c * oh * ow];
-        let mut arg = vec![0usize; b * c * oh * ow];
-        let src = self.data();
-        // Each (batch, channel) plane pools independently; planes fan out
-        // to the pool when the tensor is large.
-        let pool_plane = |bc: usize, out_plane: &mut [f32], arg_plane: &mut [usize]| {
-            let base = bc * h * w;
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for di in 0..2 {
-                        for dj in 0..2 {
-                            let idx = base + (oi * 2 + di) * w + (oj * 2 + dj);
-                            if src[idx] > best {
-                                best = src[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    out_plane[oi * ow + oj] = best;
-                    arg_plane[oi * ow + oj] = best_idx;
-                }
-            }
-        };
-        if b * c * h * w >= PAR_ELEMS {
-            pool::parallel_chunks2_mut(&mut out, &mut arg, oh * ow, oh * ow, pool_plane);
-        } else {
-            for (bc, (out_plane, arg_plane)) in out
-                .chunks_mut(oh * ow)
-                .zip(arg.chunks_mut(oh * ow))
-                .enumerate()
-            {
-                pool_plane(bc, out_plane, arg_plane);
-            }
-        }
+        let mut out = vec![0.0f32; b * c * (h / 2) * (w / 2)];
+        let mut arg = vec![0usize; out.len()];
+        lowlevel::maxpool2x2_into(self.data(), b * c, h, w, &mut out, Some(&mut arg));
         (
-            Tensor::from_vec(vec![b, c, oh, ow], out).expect("maxpool shape"),
+            Tensor::from_vec(vec![b, c, h / 2, w / 2], out).expect("maxpool shape"),
             arg,
         )
     }
@@ -495,26 +364,7 @@ impl Tensor {
     pub fn upsample2x(&self) -> Tensor {
         let (b, c, h, w) = self.dims4();
         let mut out = vec![0.0f32; b * c * 4 * h * w];
-        let src = self.data();
-        let fill_plane = |bc: usize, plane: &mut [f32]| {
-            for i in 0..h {
-                for j in 0..w {
-                    let v = src[bc * h * w + i * w + j];
-                    for di in 0..2 {
-                        for dj in 0..2 {
-                            plane[(i * 2 + di) * 2 * w + (j * 2 + dj)] = v;
-                        }
-                    }
-                }
-            }
-        };
-        if out.len() >= PAR_ELEMS {
-            pool::parallel_chunks_mut(&mut out, 4 * h * w, fill_plane);
-        } else {
-            for (bc, plane) in out.chunks_mut(4 * h * w).enumerate() {
-                fill_plane(bc, plane);
-            }
-        }
+        lowlevel::upsample2x_into(self.data(), b * c, h, w, &mut out);
         Tensor::from_vec(vec![b, c, 2 * h, 2 * w], out).expect("upsample shape")
     }
 
@@ -568,17 +418,8 @@ impl Tensor {
             })
             .sum();
         let mut out = vec![0.0f32; b * total_c * h * w];
-        let hw = h * w;
-        for bi in 0..b {
-            let mut c_off = 0usize;
-            for p in parts {
-                let pc = p.shape()[1];
-                let src = &p.data()[bi * pc * hw..(bi + 1) * pc * hw];
-                out[(bi * total_c + c_off) * hw..(bi * total_c + c_off + pc) * hw]
-                    .copy_from_slice(src);
-                c_off += pc;
-            }
-        }
+        let srcs = parts.iter().map(|p| (p.data(), p.shape()[1]));
+        lowlevel::concat_channels_into(srcs, b, h * w, total_c, &mut out);
         Tensor::from_vec(vec![b, total_c, h, w], out).expect("concat shape")
     }
 
@@ -590,28 +431,19 @@ impl Tensor {
     pub fn slice_channels(&self, c0: usize, c1: usize) -> Tensor {
         let (b, c, h, w) = self.dims4();
         assert!(c0 <= c1 && c1 <= c, "slice_channels out of range");
-        let hw = h * w;
-        let nc = c1 - c0;
-        let mut out = vec![0.0f32; b * nc * hw];
-        for bi in 0..b {
-            out[bi * nc * hw..(bi + 1) * nc * hw]
-                .copy_from_slice(&self.data()[(bi * c + c0) * hw..(bi * c + c1) * hw]);
-        }
-        Tensor::from_vec(vec![b, nc, h, w], out).expect("slice shape")
+        let mut out = vec![0.0f32; b * (c1 - c0) * h * w];
+        lowlevel::slice_channels_into(self.data(), b, c, h * w, c0, c1, &mut out);
+        Tensor::from_vec(vec![b, c1 - c0, h, w], out).expect("slice shape")
     }
 
-    /// Softmax over the last axis. Every row runs through the shared
-    /// dispatched [`crate::softmax_row`], so the composed tape op, the
-    /// fused attention kernels and the plan executor all use the exact
-    /// same per-row arithmetic on every kernel backend.
+    /// Softmax over the last axis through [`lowlevel::softmax_last_into`]:
+    /// every row runs the shared dispatched [`crate::softmax_row`], so the
+    /// composed tape op, the fused attention kernels and the plan executor
+    /// all use the exact same per-row arithmetic on every kernel backend.
     pub fn softmax_lastdim(&self) -> Tensor {
         let n = *self.shape().last().expect("softmax needs rank >= 1");
-        let mut out = self.data().to_vec();
-        if n > 0 {
-            for row in out.chunks_mut(n) {
-                crate::attention::softmax_row(row);
-            }
-        }
+        let mut out = vec![0.0f32; self.numel()];
+        lowlevel::softmax_last_into(self.data(), n, &mut out);
         Tensor::from_vec(self.shape().to_vec(), out).expect("softmax shape")
     }
 
@@ -648,62 +480,6 @@ pub fn conv_out_size(
     let oh = (h + 2 * pad - kh) / stride + 1;
     let ow = (w + 2 * pad - kw) / stride + 1;
     (oh, ow)
-}
-
-/// Slice-level [`Tensor::im2col_into`]: lowers a `[B, C, H, W]` slice to the
-/// `[C*kh*kw, B*oh*ow]` im2col matrix. `out` **must be zero-filled** (padding
-/// positions are never written). Shared verbatim between the autograd tape's
-/// conv forward and the plan executor, so both lower identically.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn im2col_slices(
-    src: &[f32],
-    b: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    out: &mut [f32],
-) {
-    let (oh, ow) = conv_out_size(h, w, kh, kw, stride, pad);
-    let rows = c * kh * kw;
-    let cols = b * oh * ow;
-    assert_eq!(src.len(), b * c * h * w, "im2col input length mismatch");
-    assert_eq!(out.len(), rows * cols, "im2col_into output length mismatch");
-    // Each output row (ci, ki, kj) gathers independently; rows fan out
-    // to the pool when the matrix is large. Every element is written at
-    // most once, so parallel and serial results are bitwise identical.
-    let fill_row = |row: usize, out_row: &mut [f32]| {
-        let ci = row / (kh * kw);
-        let ki = (row / kw) % kh;
-        let kj = row % kw;
-        for bi in 0..b {
-            for oi in 0..oh {
-                let iy = (oi * stride + ki) as isize - pad as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let iy = iy as usize;
-                for oj in 0..ow {
-                    let ix = (oj * stride + kj) as isize - pad as isize;
-                    if ix < 0 || ix >= w as isize {
-                        continue;
-                    }
-                    out_row[bi * oh * ow + oi * ow + oj] =
-                        src[((bi * c + ci) * h + iy) * w + ix as usize];
-                }
-            }
-        }
-    };
-    if rows * cols >= PAR_ELEMS {
-        pool::parallel_chunks_mut(out, cols, fill_row);
-    } else {
-        for (row, out_row) in out.chunks_mut(cols).enumerate() {
-            fill_row(row, out_row);
-        }
-    }
 }
 
 /// GEMM `out (+)= a[m,k] * b[k,n]`, dispatched to the active kernel

@@ -31,10 +31,9 @@ pub mod simd;
 mod tensor;
 
 pub use attention::{
-    attention_fm, attention_fm_backward, attention_fm_backward_with, attention_fm_into,
-    attention_fm_slices, attention_fm_slices_with, attention_tm, attention_tm_backward,
-    attention_tm_backward_with, attention_tm_into, attention_tm_slices, attention_tm_slices_with,
-    softmax_row, ATTN_TILE,
+    attention_fm, attention_fm_backward, attention_fm_backward_with, attention_fm_slices,
+    attention_fm_slices_with, attention_tm, attention_tm_backward, attention_tm_backward_with,
+    attention_tm_slices, attention_tm_slices_with, softmax_row, ATTN_TILE,
 };
 pub use error::TensorError;
 pub use init::{kaiming_normal, xavier_uniform};
